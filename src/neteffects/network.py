@@ -167,32 +167,79 @@ def from_edge_list(
 
     Raises
     ------
-    DuplicateEdgeError, SelfLoopError, NonFiniteWeightError, ValueError
+    DuplicateEdgeError, SelfLoopError, NonFiniteWeightError, ValueError, TypeError
     """
-    recs = [r if isinstance(r, EdgeRecord) else EdgeRecord(*r) for r in records]
-    labels = {str(r.source) for r in recs} | {str(r.target) for r in recs}
+    rows = [(r.source, r.target, r.weight) if isinstance(r, EdgeRecord) else tuple(r) for r in records]
+    if any(len(r) != 3 for r in rows):
+        raise TypeError("each record must be a (source, target, weight) triple")
+    code: dict[str, int] = {}
+    src, dst, wts = [], [], []
+    unparsed = None
+    for source, target, weight in rows:
+        src.append(code.setdefault(str(source), len(code)))
+        dst.append(code.setdefault(str(target), len(code)))
+        try:
+            wts.append(float(weight))
+        except (TypeError, ValueError) as exc:
+            # Records are checked in order, so no later record can matter.
+            wts.append(math.nan)
+            unparsed = exc
+            break
     if node_universe is not None:
-        labels |= {str(u) for u in node_universe}
-    if not labels:
-        raise ValueError("no records and no node universe: cannot size the network")
-    ordered = tuple(sorted(labels))
-    index = {lab: i for i, lab in enumerate(ordered)}
+        for u in node_universe:
+            code.setdefault(str(u), len(code))
+    try:
+        return _from_codes(code, src, dst, wts, lambda k: ("", rows[k][0], rows[k][1]))
+    except NonFiniteWeightError:
+        # The unparseable weight stands in as the last, NaN, weight.  When it
+        # is the first offender, float()'s own error is the one to raise.
+        if unparsed is None or not all(map(math.isfinite, wts[:-1])):
+            raise
+        raise unparsed from None
 
-    n = len(ordered)
+
+def _from_codes(code, src, dst, wts, where) -> DirectedWeightedNetwork:
+    """Validate edge columns and build the network they describe.
+
+    ``code`` maps every node label to an integer code (any order); record
+    k is the edge ``src[k] -> dst[k]`` (codes) with weight ``wts[k]``.  The
+    first offending record in order raises, checked for a self-loop, then a
+    non-finite weight, then a pair listed earlier, as a record-by-record
+    loop would.  ``where(k)`` gives ``(prefix, source, target)`` to name
+    record k in that error.
+    """
+    n = len(code)
+    if n == 0:
+        raise ValueError("no records and no node universe: cannot size the network")
+    labels = sorted(code)
+    rank = np.empty(n, dtype=np.intp)
+    rank[[code[lab] for lab in labels]] = np.arange(n)
+    i = rank[np.asarray(src, dtype=np.intp)]
+    j = rank[np.asarray(dst, dtype=np.intp)]
+    w = np.asarray(wts, dtype=np.float64)
+
+    # A stable sort keeps each pair's records in record order, so every one
+    # after the first of its pair is a repeat.
+    pair = i * n + j
+    order = np.argsort(pair, kind="stable")
+    sorted_pair = pair[order]
+    repeat = np.zeros(pair.size, dtype=bool)
+    repeat[order[1:][sorted_pair[1:] == sorted_pair[:-1]]] = True
+    loop = i == j
+    bad = ~np.isfinite(w)
+    offenders = np.flatnonzero(loop | bad | repeat)
+    if offenders.size:
+        k = int(offenders[0])
+        prefix, source, target = where(k)
+        if loop[k]:
+            raise SelfLoopError(f"{prefix}self-loop record {source!r} -> {target!r}")
+        if bad[k]:
+            raise NonFiniteWeightError(f"{prefix}non-finite weight on {source!r} -> {target!r}")
+        raise DuplicateEdgeError(f"{prefix}duplicate edge {source!r} -> {target!r}")
+
     weights = np.zeros((n, n), dtype=np.float64)
-    seen: set[tuple[int, int]] = set()
-    for r in recs:
-        if str(r.source) == str(r.target):
-            raise SelfLoopError(f"self-loop record {r.source!r} -> {r.target!r}")
-        w = float(r.weight)
-        if not math.isfinite(w):
-            raise NonFiniteWeightError(f"non-finite weight on {r.source!r} -> {r.target!r}")
-        ij = (index[str(r.source)], index[str(r.target)])
-        if ij in seen:
-            raise DuplicateEdgeError(f"duplicate edge {r.source!r} -> {r.target!r}")
-        seen.add(ij)
-        weights[ij] = w
-    return DirectedWeightedNetwork(weights, labels=ordered)
+    weights[i, j] = w
+    return DirectedWeightedNetwork(weights, labels=tuple(labels))
 
 
 def edge_records(net: DirectedWeightedNetwork) -> list[EdgeRecord]:
@@ -205,24 +252,33 @@ def edge_records(net: DirectedWeightedNetwork) -> list[EdgeRecord]:
 
 
 def read_edge_list(path) -> DirectedWeightedNetwork:
-    """Read a UTF-8 CSV edge list with header ``source,target,weight``."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Read a UTF-8 CSV edge list with header ``source,target,weight``.
+
+    A leading byte-order mark is ignored.  Errors name ``path:line``.
+    """
+    code: dict[str, int] = {}
+    src, dst, wts, lines = [], [], [], []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:3]] != ["source", "target", "weight"]:
             raise ValueError(f"{path}: expected CSV header 'source,target,weight'")
-        records = []
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
             if len(row) < 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
             try:
-                weight = float(row[2])
+                wts.append(float(row[2]))
             except ValueError:
                 raise NonFiniteWeightError(f"{path}:{lineno}: cannot parse weight {row[2]!r}") from None
-            records.append(EdgeRecord(row[0].strip(), row[1].strip(), weight))
-    return from_edge_list(records)
+            src.append(code.setdefault(row[0].strip(), len(code)))
+            dst.append(code.setdefault(row[1].strip(), len(code)))
+            lines.append(lineno)
+    names = list(code)
+    return _from_codes(
+        code, src, dst, wts, lambda k: (f"{path}:{lines[k]}: ", names[src[k]], names[dst[k]])
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,9 +5,19 @@ loops over index tuples, independently of the package's closed-form
 accumulations, so agreement between the two is a real check.
 """
 
+import csv
 import itertools
+import math
 
 import numpy as np
+
+from neteffects import (
+    DirectedWeightedNetwork,
+    DuplicateEdgeError,
+    EdgeRecord,
+    NonFiniteWeightError,
+    SelfLoopError,
+)
 
 
 def pair_mean(w, i, j):
@@ -125,3 +135,52 @@ def naive_local_effects(w):
         srec[i] = sum((w[j, i] - mu) * (w[k, i] - mu) for j, k in pairs) / ((n - 1) * (n - 2))
         sr[i] = sum((w[j, i] - mu) * (w[i, k] - mu) for j, k in pairs) / ((n - 1) * (n - 2))
     return rec, ss, srec, sr
+
+
+def reference_from_edge_list(records, node_universe=None):
+    """Record-by-record network construction: the first offending record raises."""
+    recs = [r if isinstance(r, EdgeRecord) else EdgeRecord(*r) for r in records]
+    labels = {str(r.source) for r in recs} | {str(r.target) for r in recs}
+    if node_universe is not None:
+        labels |= {str(u) for u in node_universe}
+    if not labels:
+        raise ValueError("no records and no node universe: cannot size the network")
+    ordered = tuple(sorted(labels))
+    index = {lab: i for i, lab in enumerate(ordered)}
+
+    n = len(ordered)
+    weights = np.zeros((n, n), dtype=np.float64)
+    seen = set()
+    for r in recs:
+        if str(r.source) == str(r.target):
+            raise SelfLoopError(f"self-loop record {r.source!r} -> {r.target!r}")
+        w = float(r.weight)
+        if not math.isfinite(w):
+            raise NonFiniteWeightError(f"non-finite weight on {r.source!r} -> {r.target!r}")
+        ij = (index[str(r.source)], index[str(r.target)])
+        if ij in seen:
+            raise DuplicateEdgeError(f"duplicate edge {r.source!r} -> {r.target!r}")
+        seen.add(ij)
+        weights[ij] = w
+    return DirectedWeightedNetwork(weights, labels=ordered)
+
+
+def reference_read_edge_list(path):
+    """Row-by-row CSV reader: one EdgeRecord per row, then the function above."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header[:3]] != ["source", "target", "weight"]:
+            raise ValueError(f"{path}: expected CSV header 'source,target,weight'")
+        records = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) < 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+            try:
+                weight = float(row[2])
+            except ValueError:
+                raise NonFiniteWeightError(f"{path}:{lineno}: cannot parse weight {row[2]!r}") from None
+            records.append(EdgeRecord(row[0].strip(), row[1].strip(), weight))
+    return reference_from_edge_list(records)

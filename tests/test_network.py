@@ -1,5 +1,10 @@
+import csv
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neteffects import (
     DirectedWeightedNetwork,
@@ -14,6 +19,7 @@ from neteffects import (
     read_edge_list,
     row_col_summaries,
 )
+from . import oracles
 from .conftest import constant_net, make_random_net
 
 
@@ -109,6 +115,118 @@ class TestReadEdgeList(object):
         path.write_text("source,target,weight\na,b,abc\n", encoding="utf-8")
         with pytest.raises(NonFiniteWeightError):
             read_edge_list(path)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "net.csv"
+        path.write_text("\ufeffsource,target,weight\na,b,1.0\nb,a,2.5\n", encoding="utf-8")
+        net = read_edge_list(path)
+        assert net.labels == ("a", "b")
+        assert net.weights[0, 1] == 1.0
+        assert net.weights[1, 0] == 2.5
+
+    @pytest.mark.parametrize("rows, error, line, message", [
+        (["a,b,1", "b,a,2", "c,c,3"], SelfLoopError, 4, "self-loop record 'c' -> 'c'"),
+        (["a,b,1", "b,a,nan"], NonFiniteWeightError, 3, "non-finite weight on 'b' -> 'a'"),
+        (["a,b,1", "b,a,2", " a , b ,3"], DuplicateEdgeError, 4, "duplicate edge 'a' -> 'b'"),
+        # the first offending record wins, whatever its kind
+        (["a,b,1", "a,b,2", "c,c,3"], DuplicateEdgeError, 3, "duplicate edge 'a' -> 'b'"),
+        (["a,b,1", "c,c,3", "a,b,2"], SelfLoopError, 3, "self-loop record 'c' -> 'c'"),
+        (["a,b,inf", "a,b,2"], NonFiniteWeightError, 2, "non-finite weight on 'a' -> 'b'"),
+        # within one record: self-loop before weight before duplicate
+        (["a,b,1", "a,a,inf"], SelfLoopError, 3, "self-loop record 'a' -> 'a'"),
+        (["a,b,1", "a,b,-inf"], NonFiniteWeightError, 3, "non-finite weight on 'a' -> 'b'"),
+    ])
+    def test_record_errors_name_their_line(self, tmp_path, rows, error, line, message):
+        path = tmp_path / "net.csv"
+        path.write_text("source,target,weight\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(error) as info:
+            read_edge_list(path)
+        assert str(info.value) == f"{path}:{line}: {message}"
+
+
+# Label spellings: surrounding whitespace, a comma (quoted by the CSV
+# writer), a quote, digits (given to from_edge_list as int), the empty label.
+# Weights are mostly finite, so that valid files are common.
+LABELS = ["a", " a", "a ", "b", " c ", "d,e", 'f"g', "10", " 7", "", " "]
+FINITE = ["1.5", "-2", "0", "-0.0", " 3 ", "1e-310", "0.25"]
+BAD = ["nan", "inf", "-inf", "1e400", "abc", ""]
+CELLS = LABELS + FINITE + BAD + ["x"]
+
+edge_rows = st.tuples(
+    st.sampled_from(LABELS), st.sampled_from(LABELS), st.sampled_from(FINITE * 6 + BAD),
+    st.lists(st.sampled_from(CELLS), max_size=2),
+).map(lambda t: [t[0], t[1], t[2], *t[3]])
+
+
+@st.composite
+def csv_rows(draw):
+    """Edge rows with blank rows and at most one short row spliced in, so
+    that most files get past the column count to the record checks."""
+    rows = draw(st.lists(edge_rows, max_size=8))
+    extra = draw(st.lists(st.sampled_from([[], [" "], ["", " ", "\t"]]), max_size=3))
+    if draw(st.integers(0, 4)) == 3:
+        extra.append(draw(st.sampled_from([["a", "b"], ["a"]])))
+    for row in extra:
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+def _outcome(build, *args):
+    try:
+        net = build(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return net.labels, net.weights.tobytes()
+
+
+def _assert_same_outcome(new, ref, path=None):
+    """Equal labels and bit-equal weights, or equal errors.  An error of the
+    reader may add a ``path:line: `` prefix that the reference lacks."""
+    if path is not None and new != ref and isinstance(ref[0], type):
+        located = re.escape(f"{path}:") + r"\d+: " + re.escape(ref[1])
+        assert new[0] is ref[0] and re.fullmatch(located, new[1]), (new, ref)
+    else:
+        assert new == ref
+
+
+def _as_record(row, ints, raw_weight):
+    source, target, weight = row[:3]
+    if ints:
+        source, target = (int(x) if x.strip().isdigit() else x for x in (source, target))
+    if not raw_weight:
+        try:
+            weight = float(weight)
+        except ValueError:
+            pass
+    return source, target, weight
+
+
+class TestIngestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        header=st.sampled_from([["source", "target", "weight"], [" Source", "TARGET ", "weight", "x"]]),
+        rows=csv_rows(),
+        ints=st.booleans(),
+        raw_weight=st.booleans(),
+        universe=st.none() | st.lists(st.sampled_from(LABELS + [3, 10, "z"]), max_size=4),
+    )
+    def test_read_edge_list_and_from_edge_list(self, tmp_path_factory, header, rows, ints, raw_weight, universe):
+        path = tmp_path_factory.mktemp("ingest") / "edges.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        _assert_same_outcome(
+            _outcome(read_edge_list, path), _outcome(oracles.reference_read_edge_list, path), path
+        )
+
+        records = [_as_record(r, ints, raw_weight) for r in rows if len(r) >= 3]
+        if records:  # tuples and EdgeRecords may be mixed
+            records[0] = EdgeRecord(*records[0])
+        _assert_same_outcome(
+            _outcome(from_edge_list, records, universe),
+            _outcome(oracles.reference_from_edge_list, records, universe),
+        )
 
 
 class TestRowColSummaries:
