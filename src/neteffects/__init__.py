@@ -11,9 +11,9 @@ degenerate, and tests it against zero on the appropriate branch
 from .api import LocalNetworkEffects, NetworkEffectTest
 from .errors import (
     DuplicateEdgeError,
-    EmptyInputError,
     InvalidSpecError,
     NetworkEffectsError,
+    NonFiniteStatisticError,
     NonFiniteWeightError,
     SelfLoopError,
     TooFewNodesError,
@@ -34,27 +34,24 @@ from .inference import (
     DegeneracyDiagnosis,
     LocalEffects,
     TestReport,
-    aggregated_reduced_test,
-    combine_p_values,
     diagnose_degeneracy,
     local_effects,
     reduced_test,
     studentized_complete_test,
     test_effect,
-    test_effect_repeated,
 )
 from .network import (
     DirectedWeightedNetwork,
     EdgeRecord,
     EffectKind,
     NodeSummaries,
+    as_network,
     edge_records,
     from_edge_list,
     read_edge_list,
     row_col_summaries,
 )
 from .simulation import MonteCarloSummary, SimulationSpec, generate, monte_carlo
-from .validation import as_network, check_weight_matrix
 
 __version__ = "0.1.0"
 
@@ -82,9 +79,6 @@ __all__ = [
     "studentized_complete_test",
     "reduced_test",
     "test_effect",
-    "test_effect_repeated",
-    "combine_p_values",
-    "aggregated_reduced_test",
     "local_effects",
     "SimulationSpec",
     "MonteCarloSummary",
@@ -92,7 +86,6 @@ __all__ = [
     "monte_carlo",
     "NetworkEffectTest",
     "LocalNetworkEffects",
-    "check_weight_matrix",
     "as_network",
     "NetworkEffectsError",
     "DuplicateEdgeError",
@@ -101,7 +94,7 @@ __all__ = [
     "TooFewNodesError",
     "UnsupportedEffectError",
     "ZeroVarianceError",
-    "EmptyInputError",
+    "NonFiniteStatisticError",
     "InvalidSpecError",
     "__version__",
 ]

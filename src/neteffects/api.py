@@ -14,8 +14,7 @@ import inspect
 import numpy as np
 
 from . import inference
-from .network import EffectKind
-from .validation import as_network
+from .network import EffectKind, as_network
 
 __all__ = ["NetworkEffectTest", "LocalNetworkEffects"]
 
@@ -58,13 +57,11 @@ class NetworkEffectTest(ParamsMixin):
         Quadruple subsample size is round(n ** subsample_exponent);
         larger values buy power at some cost in size accuracy and time.
     random_state : int, default 0
-        Seed for quadruple subsampling on the reduced branch.
+        Seed for quadruple subsampling on the reduced branch; the test
+        runs with ``inference.derive_seed(random_state)``, as the CLI does.
     diagnostic_constant : float, default 1.0
         Multiplier on the degeneracy threshold (reciprocity and
         sender-receiver only).
-    repeats : int, default 1
-        Number of independent subsample draws on the reduced branch;
-        their p-values are combined by z-averaging.
 
     Attributes (after ``fit``)
     --------------------------
@@ -90,40 +87,25 @@ class NetworkEffectTest(ParamsMixin):
         subsample_exponent: float = 1.2,
         random_state: int = 0,
         diagnostic_constant: float = 1.0,
-        repeats: int = 1,
     ):
         self.effect = effect
         self.alpha = alpha
         self.subsample_exponent = subsample_exponent
         self.random_state = random_state
         self.diagnostic_constant = diagnostic_constant
-        self.repeats = repeats
 
     def fit(self, X, y=None):
         """Run the degeneracy-aware test pipeline on weight matrix X."""
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be at least 1, got {self.repeats}")
         net = as_network(X)
         effect = self.effect if isinstance(self.effect, EffectKind) else EffectKind.parse(self.effect)
-        seeds = tuple(int(s) for s in _derive_seeds(self.random_state, self.repeats))
-        if self.repeats == 1:
-            report = inference.test_effect(
-                net,
-                effect,
-                alpha=self.alpha,
-                subsample_exponent=self.subsample_exponent,
-                seed=seeds[0],
-                c_constant=self.diagnostic_constant,
-            )
-        else:
-            report = inference.test_effect_repeated(
-                net,
-                effect,
-                alpha=self.alpha,
-                subsample_exponent=self.subsample_exponent,
-                seeds=seeds,
-                c_constant=self.diagnostic_constant,
-            )
+        report = inference.test_effect(
+            net,
+            effect,
+            alpha=self.alpha,
+            subsample_exponent=self.subsample_exponent,
+            seed=inference.derive_seed(self.random_state),
+            c_constant=self.diagnostic_constant,
+        )
         self.n_nodes_ = net.n
         self.report_ = report
         self.statistic_ = report.statistic
@@ -133,12 +115,6 @@ class NetworkEffectTest(ParamsMixin):
         self.estimate_ = report.estimate.value
         self.diagnosis_ = report.diagnosis
         return self
-
-
-def _derive_seeds(random_state: int, repeats: int) -> list[int]:
-    """Independent, order-stable subsample seeds from one user seed."""
-    root = np.random.SeedSequence(random_state)
-    return [int(child.generate_state(1)[0]) for child in root.spawn(repeats)]
 
 
 class LocalNetworkEffects(ParamsMixin):

@@ -5,7 +5,9 @@ Subcommands: ``test`` (run effect tests on a CSV edge list), ``diagnose``
 CSV), and ``simulate`` (Monte Carlo rejection rates for the synthetic
 settings).  Reports are JSON documents that echo every parameter needed
 to reproduce them; exit status is 0 on success and 2 on input or
-validation errors.  A statistical rejection never changes the exit code.
+validation errors, including a statistic that is undefined (constant
+network) or not finite (float64 overflow).  A statistical rejection never
+changes the exit code.
 """
 
 from __future__ import annotations
@@ -23,15 +25,15 @@ from .errors import NetworkEffectsError
 from .inference import (
     DegeneracyDiagnosis,
     TestReport,
+    derive_seed,
     diagnose_degeneracy,
     local_effects,
     test_effect,
-    test_effect_repeated,
 )
 from .network import EffectKind, read_edge_list
 from .simulation import CONFIGS, SimulationSpec, monte_carlo
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _EFFECT_CHOICES = ["eta2", "eta3", "eta4", "eta5", "all"]
 
@@ -50,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--lambda", dest="subsample_exponent", type=float, default=1.2,
                         help="subsample-size exponent in [1, 2) (default 1.2)")
     p_test.add_argument("--seed", type=int, default=0, help="subsampling seed (default 0)")
-    p_test.add_argument("--repeats", type=int, default=1,
-                        help="independent subsample draws to aggregate (default 1)")
     p_test.add_argument("--diagnostic-c", type=float, default=1.0,
                         help="degeneracy threshold constant (default 1)")
     p_test.set_defaults(func=cmd_test)
@@ -124,7 +124,7 @@ def _write_document(results, command_echo: dict, started: float, output: str | N
         "results": _jsonable(results),
         "timing_seconds": time.perf_counter() - started,
     }
-    text = json.dumps(document, indent=2) + "\n"
+    text = json.dumps(document, indent=2, allow_nan=False) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -132,32 +132,19 @@ def _write_document(results, command_echo: dict, started: float, output: str | N
         sys.stdout.write(text)
 
 
-def _derive_seeds(seed: int, repeats: int) -> list[int]:
-    root = np.random.SeedSequence(seed)
-    return [int(child.generate_state(1)[0]) for child in root.spawn(repeats)]
-
-
 def cmd_test(args) -> int:
     started = time.perf_counter()
-    if args.repeats < 1:
-        raise NetworkEffectsError(f"--repeats must be at least 1, got {args.repeats}")
     net = read_edge_list(args.input)
-    seeds = _derive_seeds(args.seed, args.repeats)
-    results = []
-    for effect in _effects(args.effect):
-        if args.repeats == 1:
-            report = test_effect(net, effect, alpha=args.alpha,
-                                 subsample_exponent=args.subsample_exponent,
-                                 seed=seeds[0], c_constant=args.diagnostic_c)
-        else:
-            report = test_effect_repeated(net, effect, alpha=args.alpha,
-                                          subsample_exponent=args.subsample_exponent,
-                                          seeds=seeds, c_constant=args.diagnostic_c)
-        results.append(report)
+    seed = derive_seed(args.seed)
+    results = [
+        test_effect(net, effect, alpha=args.alpha, subsample_exponent=args.subsample_exponent,
+                    seed=seed, c_constant=args.diagnostic_c)
+        for effect in _effects(args.effect)
+    ]
     echo = {
         "command": "test", "input": args.input, "effect": args.effect,
         "alpha": args.alpha, "lambda": args.subsample_exponent, "seed": args.seed,
-        "derived_seeds": seeds, "repeats": args.repeats, "diagnostic_c": args.diagnostic_c,
+        "derived_seed": seed, "diagnostic_c": args.diagnostic_c,
     }
     _write_document(results, echo, started, args.output)
     return 0

@@ -31,8 +31,9 @@ class ZeroVarianceError(NetworkEffectsError):
     is exactly zero (e.g. on a constant network)."""
 
 
-class EmptyInputError(NetworkEffectsError):
-    """An aggregation was called with no inputs."""
+class NonFiniteStatisticError(NetworkEffectsError):
+    """A test statistic or diagnostic came out NaN or infinite, e.g. because
+    products of the weights overflow float64."""
 
 
 class InvalidSpecError(NetworkEffectsError):

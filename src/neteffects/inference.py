@@ -12,13 +12,12 @@ studentized complete test (non-degenerate) or the reduced test
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
-from .errors import EmptyInputError, ZeroVarianceError
+from .errors import NonFiniteStatisticError, ZeroVarianceError
 from .estimators import (
     EffectEstimate,
     complete_estimate,
@@ -37,9 +36,7 @@ __all__ = [
     "studentized_complete_test",
     "reduced_test",
     "test_effect",
-    "test_effect_repeated",
-    "combine_p_values",
-    "aggregated_reduced_test",
+    "derive_seed",
     "local_effects",
 ]
 
@@ -74,7 +71,7 @@ class TestReport:
     """Result of testing one effect at level alpha.
 
     ``reject`` holds exactly when ``p_value`` < ``alpha``; the p-value is
-    two-sided.  ``subsample_exponent`` and ``seeds`` are set on the
+    two-sided.  ``subsample_exponent`` and ``seed`` are set on the
     reduced branch only, and ``diagnosis`` is present exactly for the two
     effects whose pipeline starts with a degeneracy check.
     """
@@ -88,7 +85,7 @@ class TestReport:
     reject: bool
     estimate: EffectEstimate
     subsample_exponent: float | None = None
-    seeds: tuple[int, ...] | None = None
+    seed: int | None = None
     diagnosis: DegeneracyDiagnosis | None = None
 
 
@@ -102,7 +99,17 @@ class LocalEffects:
     sender_receiver: np.ndarray
 
 
-def _two_sided_p(statistic: float) -> float:
+def _require_finite(value: float, what: str, effect: EffectKind) -> float:
+    if not math.isfinite(value):
+        raise NonFiniteStatisticError(
+            f"the {effect.value} {what} is {value}: products of the weights "
+            "overflow float64; rescale the weights"
+        )
+    return value
+
+
+def _two_sided_p(statistic: float, effect: EffectKind) -> float:
+    _require_finite(statistic, "test statistic", effect)
     p = 2.0 * float(ndtr(-abs(statistic)))
     return min(max(p, MIN_P_VALUE), 1.0)
 
@@ -123,7 +130,7 @@ def diagnose_degeneracy(
     if c_constant <= 0:
         raise ValueError(f"c_constant must be positive, got {c_constant}")
     net.require_nodes(3, "diagnose_degeneracy")
-    xi2 = projection_variance(net, effect)
+    xi2 = _require_finite(projection_variance(net, effect), "projection variance", effect)
     n = net.n
     threshold = c_constant * math.sqrt(math.log(n) / n)
     verdict = "non_degenerate" if xi2 > threshold else "degenerate"
@@ -152,14 +159,14 @@ def studentized_complete_test(
     _check_alpha(alpha)
     net.require_nodes(3, "studentized_complete_test")
     estimate = complete_estimate(net, effect)
-    xi2 = projection_variance(net, effect)
+    xi2 = _require_finite(projection_variance(net, effect), "projection variance", effect)
     if xi2 == 0.0:
         raise ZeroVarianceError(
             f"projection variance is exactly zero for {effect.value}; "
             "the studentized complete test is undefined (use the reduced test)"
         )
     statistic = math.sqrt(net.n) * estimate.value / math.sqrt(xi2)
-    p = _two_sided_p(statistic)
+    p = _two_sided_p(statistic, effect)
     return TestReport(
         effect=effect,
         n=net.n,
@@ -190,13 +197,14 @@ def reduced_test(
     net.require_nodes(4, "reduced_test")
     sample = sample_quadruples(net.n, subsample_exponent, seed)
     moment = reduced_estimate(net, effect, sample)
+    _require_finite(moment.sigma_hat, "kernel spread", effect)
     if moment.sigma_hat == 0.0:
         raise ZeroVarianceError(
             f"all {moment.m} kernel values are identical for {effect.value}; "
             "the studentized statistic is undefined (constant network?)"
         )
     statistic = math.sqrt(moment.m) * moment.eta_hat / moment.sigma_hat
-    p = _two_sided_p(statistic)
+    p = _two_sided_p(statistic, effect)
     return TestReport(
         effect=effect,
         n=net.n,
@@ -207,7 +215,7 @@ def reduced_test(
         reject=p < alpha,
         estimate=EffectEstimate(effect=effect, value=moment.eta_hat, method="reduced"),
         subsample_exponent=subsample_exponent,
-        seeds=(seed,),
+        seed=seed,
     )
 
 
@@ -236,115 +244,16 @@ def test_effect(
         report = studentized_complete_test(net, effect, alpha)
     else:
         report = reduced_test(net, effect, alpha, subsample_exponent, seed)
-    return TestReport(
-        effect=report.effect,
-        n=report.n,
-        alpha=report.alpha,
-        branch=report.branch,
-        statistic=report.statistic,
-        p_value=report.p_value,
-        reject=report.reject,
-        estimate=report.estimate,
-        subsample_exponent=report.subsample_exponent,
-        seeds=report.seeds,
-        diagnosis=diagnosis,
-    )
+    return replace(report, diagnosis=diagnosis)
 
 
-def test_effect_repeated(
-    net: DirectedWeightedNetwork,
-    effect: EffectKind,
-    alpha: float = 0.05,
-    subsample_exponent: float = 1.2,
-    seeds: Sequence[int] = (0,),
-    c_constant: float = 1.0,
-) -> TestReport:
-    """Full pipeline with several subsample draws on the reduced branch.
+def derive_seed(seed: int) -> int:
+    """The subsample seed that the CLI and the facade derive from a user seed.
 
-    Identical routing to :func:`test_effect`; wherever that would run one
-    reduced test, this runs one per seed and combines the p-values.  The
-    studentized complete branch is deterministic, so repeats do not apply
-    there.
+    The first child of ``SeedSequence(seed)``, so that nearby user seeds
+    give unrelated quadruple samples.
     """
-    seeds = tuple(int(s) for s in seeds)
-    if effect in (EffectKind.SAME_SENDER, EffectKind.SAME_RECEIVER):
-        return aggregated_reduced_test(net, effect, alpha, subsample_exponent, seeds)
-    diagnosis = diagnose_degeneracy(net, effect, c_constant)
-    if diagnosis.non_degenerate:
-        report = studentized_complete_test(net, effect, alpha)
-    else:
-        report = aggregated_reduced_test(net, effect, alpha, subsample_exponent, seeds)
-    return TestReport(
-        effect=report.effect,
-        n=report.n,
-        alpha=report.alpha,
-        branch=report.branch,
-        statistic=report.statistic,
-        p_value=report.p_value,
-        reject=report.reject,
-        estimate=report.estimate,
-        subsample_exponent=report.subsample_exponent,
-        seeds=report.seeds,
-        diagnosis=diagnosis,
-    )
-
-
-def combine_p_values(p_values: Sequence[float]) -> float:
-    """Combine p-values by averaging their normal z-scores.
-
-    Each p maps to z = Phi^{-1}(1 - p); the combined p-value is
-    1 - Phi(mean z).  Because an average of standard normals has variance
-    at most 1 under arbitrary dependence, the combination is valid
-    (conservative) for dependent inputs.  Zeros are clamped to the
-    smallest positive p to keep the quantile finite.
-    """
-    arr = np.asarray(list(p_values), dtype=np.float64)
-    if arr.size == 0:
-        raise EmptyInputError("no p-values to combine")
-    if np.any((arr < 0.0) | (arr > 1.0)) or not np.isfinite(arr).all():
-        raise ValueError("p-values must lie in [0, 1]")
-    arr = np.maximum(arr, MIN_P_VALUE)
-    z = -ndtri(arr)  # Phi^{-1}(1 - p), computed accurately for tiny p
-    combined = float(ndtr(-float(np.mean(z))))
-    return min(max(combined, MIN_P_VALUE), 1.0)
-
-
-def aggregated_reduced_test(
-    net: DirectedWeightedNetwork,
-    effect: EffectKind,
-    alpha: float = 0.05,
-    subsample_exponent: float = 1.2,
-    seeds: Sequence[int] = (0,),
-) -> TestReport:
-    """Reduced test repeated over several subsample seeds, with the
-    two-sided p-values combined by :func:`combine_p_values`.
-
-    A single seed reduces to :func:`reduced_test` exactly.  The reported
-    statistic is the mean z-score and the estimate is the mean of the
-    per-seed subsampled estimates.
-    """
-    seeds = tuple(int(s) for s in seeds)
-    if not seeds:
-        raise EmptyInputError("need at least one seed")
-    if len(seeds) == 1:
-        return reduced_test(net, effect, alpha, subsample_exponent, seeds[0])
-    reports = [reduced_test(net, effect, alpha, subsample_exponent, s) for s in seeds]
-    p_values = [r.p_value for r in reports]
-    combined = combine_p_values(p_values)
-    statistic = float(np.mean(-ndtri(np.maximum(p_values, MIN_P_VALUE))))
-    value = float(np.mean([r.estimate.value for r in reports]))
-    return TestReport(
-        effect=effect,
-        n=net.n,
-        alpha=alpha,
-        branch=BRANCH_REDUCED,
-        statistic=statistic,
-        p_value=combined,
-        reject=combined < alpha,
-        estimate=EffectEstimate(effect=effect, value=value, method="reduced"),
-        subsample_exponent=subsample_exponent,
-        seeds=seeds,
-    )
+    return int(np.random.SeedSequence(seed).spawn(1)[0].generate_state(1)[0])
 
 
 def local_effects(net: DirectedWeightedNetwork) -> LocalEffects:

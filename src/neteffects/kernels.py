@@ -1,147 +1,21 @@
-"""Motif kernels on 2-, 3-, and 4-node sub-networks.
+"""The 4-tuple motif kernel, evaluated on many node quadruples at once.
 
-Every function takes the full weight matrix plus explicit node indices, so
-a kernel value depends only on the induced sub-network (and, for the
-4-tuple kernels, the global node count that enters the finite-sample
-correction).  All kernels are pure and freely parallelizable.
-
-The 4-tuple kernel ``quadruple_kernel`` is built so that for each effect
-its average over all C(n, 4) node quadruples reproduces the complete
-effect estimator *exactly*; the subsampled tests evaluate it on random
-quadruples.  That identity pins down the correction term below and is
-enforced by the test suite.
+A kernel value depends only on the sub-network induced by the quadruple
+and on the global node count n, which enters the finite-sample
+correction.  For each effect the kernel's average over all C(n, 4) node
+quadruples reproduces the complete effect estimator *exactly*; the
+subsampled tests evaluate it on random quadruples.  That identity pins
+down the correction term below.  The test suite checks it, and checks
+this vectorized form against a loop-by-loop reference kernel.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
 from .network import DirectedWeightedNetwork, EffectKind
 
-__all__ = [
-    "pair_average",
-    "reciprocal_product",
-    "same_sender_product",
-    "same_receiver_product",
-    "two_path_product",
-    "disjoint_pair_product",
-    "finite_sample_correction",
-    "quadruple_kernel",
-    "quadruple_kernel_values",
-]
-
-
-def pair_average(w: np.ndarray, i: int, j: int) -> float:
-    """(e[i,j] + e[j,i]) / 2; symmetric in (i, j)."""
-    return (w[i, j] + w[j, i]) / 2.0
-
-
-def reciprocal_product(w: np.ndarray, i: int, j: int) -> float:
-    """e[i,j] * e[j,i]; symmetric in (i, j)."""
-    return w[i, j] * w[j, i]
-
-
-def same_sender_product(w: np.ndarray, i: int, j: int, k: int) -> float:
-    """Mean over the 3 nodes of the product of their two outgoing edges.
-
-    (e[i,j] e[i,k] + e[j,i] e[j,k] + e[k,i] e[k,j]) / 3; invariant to
-    permuting (i, j, k).
-    """
-    return (w[i, j] * w[i, k] + w[j, i] * w[j, k] + w[k, i] * w[k, j]) / 3.0
-
-
-def same_receiver_product(w: np.ndarray, i: int, j: int, k: int) -> float:
-    """Mean over the 3 nodes of the product of their two incoming edges.
-
-    Equals ``same_sender_product`` evaluated on the transposed network.
-    """
-    return (w[i, j] * w[k, j] + w[j, i] * w[k, i] + w[i, k] * w[j, k]) / 3.0
-
-
-def two_path_product(w: np.ndarray, i: int, j: int, k: int) -> float:
-    """Mean of e[a,b] e[b,c] over all 6 orderings (a, b, c) of {i, j, k}."""
-    total = 0.0
-    for a, b, c in itertools.permutations((i, j, k)):
-        total += w[a, b] * w[b, c]
-    return total / 6.0
-
-
-def disjoint_pair_product(w: np.ndarray, quad: tuple[int, int, int, int]) -> float:
-    """Mean of e[a,b] e[c,d] over all 24 orderings (a, b, c, d) of the quad.
-
-    Equivalently, with s[a,b] = e[a,b] + e[b,a], one twelfth of the sum of
-    s[a,b] s[c,d] over the 3 ways of splitting the quad into two pairs.
-    """
-    i, j, k, l = quad
-    return (
-        (w[i, j] + w[j, i]) * (w[k, l] + w[l, k])
-        + (w[i, k] + w[k, i]) * (w[j, l] + w[l, j])
-        + (w[i, l] + w[l, i]) * (w[j, k] + w[k, j])
-    ) / 12.0
-
-
-def finite_sample_correction(w: np.ndarray, quad: tuple[int, int, int, int], n: int) -> float:
-    """The O(1/n) term that makes the 4-tuple rewriting exact.
-
-    With P = sum over the 12 ordered pairs (a, b) from the quad of
-    (e[a,b] e[b,a] + e[a,b]^2), and
-    B = sum over the 4 unordered triples of
-    (same_sender + same_receiver + 2 * two_path) products, the value is
-
-        -[ P / (12 (n^2 - n)) + (n - 2) B / (4 (n^2 - n))
-           + (6 - 4n) * disjoint_pair_product / (n^2 - n) ].
-
-    ``n`` is the size of the *whole* network, not of the tuple.  The three
-    coefficients are exactly those under which the quadruple kernel
-    averages to the complete estimator; the identity test certifies them.
-    """
-    if n < 3:
-        raise ValueError(f"correction needs network size n >= 3, got {n}")
-    pair_sum = 0.0
-    for a, b in itertools.permutations(quad, 2):
-        pair_sum += w[a, b] * w[b, a] + w[a, b] ** 2
-    triple_sum = 0.0
-    for a, b, c in itertools.combinations(quad, 3):
-        triple_sum += (
-            same_sender_product(w, a, b, c)
-            + same_receiver_product(w, a, b, c)
-            + 2.0 * two_path_product(w, a, b, c)
-        )
-    nn = float(n * n - n)
-    return -(
-        pair_sum / (12.0 * nn)
-        + (n - 2) * triple_sum / (4.0 * nn)
-        + (6.0 - 4.0 * n) * disjoint_pair_product(w, quad) / nn
-    )
-
-
-def quadruple_kernel(
-    effect: EffectKind,
-    w: np.ndarray,
-    quad: tuple[int, int, int, int],
-    n: int,
-) -> float:
-    """The 4-tuple kernel whose full average equals the complete estimator.
-
-    For the triple-based effects the first term is the mean of the
-    matching 3-node kernel over the 4 triples inside the quad; for
-    reciprocity it is the mean of the reciprocal product over the 6 pairs.
-    Both are followed by ``- disjoint_pair_product + finite_sample_correction``.
-    """
-    if effect is EffectKind.RECIPROCITY:
-        base = sum(
-            reciprocal_product(w, a, b) for a, b in itertools.combinations(quad, 2)
-        ) / 6.0
-    else:
-        triple = {
-            EffectKind.SAME_SENDER: same_sender_product,
-            EffectKind.SAME_RECEIVER: same_receiver_product,
-            EffectKind.SENDER_RECEIVER: two_path_product,
-        }[effect]
-        base = sum(triple(w, a, b, c) for a, b, c in itertools.combinations(quad, 3)) / 4.0
-    return base - disjoint_pair_product(w, quad) + finite_sample_correction(w, quad, n)
+__all__ = ["quadruple_kernel_values"]
 
 
 def quadruple_kernel_values(
@@ -149,12 +23,23 @@ def quadruple_kernel_values(
     quads: np.ndarray,
     effect: EffectKind,
 ) -> np.ndarray:
-    """Vectorized ``quadruple_kernel`` over an (m, 4) array of index quadruples.
+    """The 4-tuple kernel on each row of an (m, 4) array of index quadruples.
+
+    For reciprocity the kernel is the mean reciprocal product e[a,b] e[b,a]
+    over the 6 pairs in the quad; for the other effects it is the mean of
+    the matching 3-node product (same-sender, same-receiver or two-path)
+    over the 4 triples.  Both then subtract the mean of e[a,b] e[c,d] over
+    the 24 orderings of the quad and add the O(1/n) correction
+
+        -[ P / (12 (n^2 - n)) + (n - 2) B / (4 (n^2 - n))
+           + (6 - 4n) * disjoint / (n^2 - n) ],
+
+    where P sums e[a,b] e[b,a] + e[a,b]^2 over the 12 ordered pairs and B
+    sums same-sender + same-receiver + 2 * two-path over the 4 triples.
 
     Gathers the (m, 4, 4) stack of induced sub-matrices once and reduces
     it with within-quad node sums, making the cost O(m) with small
-    constants; agreement with the scalar kernel is exact up to summation
-    order.
+    constants.
     """
     w = net.weights
     n = net.n

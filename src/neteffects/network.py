@@ -28,6 +28,7 @@ __all__ = [
     "EdgeRecord",
     "EffectKind",
     "NodeSummaries",
+    "as_network",
     "from_edge_list",
     "read_edge_list",
     "edge_records",
@@ -150,6 +151,11 @@ class DirectedWeightedNetwork:
     def require_nodes(self, minimum: int, what: str = "this operation") -> None:
         if self.n < minimum:
             raise TooFewNodesError(f"{what} needs at least {minimum} nodes, got {self.n}")
+
+
+def as_network(X) -> DirectedWeightedNetwork:
+    """``X`` itself if it is a network, else ``DirectedWeightedNetwork(X)``."""
+    return X if isinstance(X, DirectedWeightedNetwork) else DirectedWeightedNetwork(X)
 
 
 def from_edge_list(

@@ -15,6 +15,7 @@ from neteffects import (
     DirectedWeightedNetwork,
     DuplicateEdgeError,
     EdgeRecord,
+    EffectKind,
     NonFiniteWeightError,
     SelfLoopError,
 )
@@ -59,6 +60,20 @@ def correction(w, quad, n):
     )
 
 
+TRIPLE_KERNELS = {"same_sender": sender, "same_receiver": receiver, "sender_receiver": two_path}
+
+
+def quadruple_kernel(effect, w, quad, n):
+    """The 4-tuple kernel: the mean pair (reciprocity) or triple kernel over
+    the quad, minus the disjoint-pair product, plus the correction."""
+    if effect is EffectKind.RECIPROCITY:
+        base = sum(recip(w, a, b) for a, b in itertools.combinations(quad, 2)) / 6.0
+    else:
+        triple = TRIPLE_KERNELS[effect.value]
+        base = sum(triple(w, *t) for t in itertools.combinations(quad, 3)) / 4.0
+    return base - disjoint(w, quad) + correction(w, quad, n)
+
+
 def naive_mean_edge(w):
     n = w.shape[0]
     return sum(w[i, j] for i in range(n) for j in range(n) if i != j) / (n * (n - 1))
@@ -71,9 +86,7 @@ def naive_complete(w, effect_name):
     if effect_name == "reciprocity":
         vals = [recip(w, i, j) for i, j in itertools.combinations(range(n), 2)]
     else:
-        kernel = {"same_sender": sender, "same_receiver": receiver, "sender_receiver": two_path}[
-            effect_name
-        ]
+        kernel = TRIPLE_KERNELS[effect_name]
         vals = [kernel(w, *t) for t in itertools.combinations(range(n), 3)]
     return float(np.mean(vals)) - mu * mu
 

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from neteffects import (
+    EffectKind,
     LocalNetworkEffects,
     NetworkEffectTest,
     NonFiniteWeightError,
     SelfLoopError,
-    TooFewNodesError,
-    check_weight_matrix,
+    as_network,
     local_effects,
 )
 from neteffects import test_effect as run_effect_test
-from neteffects.validation import as_network
+from neteffects.inference import derive_seed
 from .conftest import make_random_net
 
 
@@ -22,30 +22,26 @@ def random_matrix(n=40, seed=0):
     return w
 
 
-class TestCheckWeightMatrix:
+class TestAsNetwork:
     def test_accepts_lists(self):
-        out = check_weight_matrix([[0.0, 1.0], [2.0, 0.0]])
+        out = as_network([[0.0, 1.0], [2.0, 0.0]]).weights
         assert out.dtype == np.float64
 
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError):
-            check_weight_matrix(np.zeros((3, 4)))
+            as_network(np.zeros((3, 4)))
 
     def test_rejects_nan(self):
         w = random_matrix(5)
         w[1, 2] = np.nan
         with pytest.raises(NonFiniteWeightError):
-            check_weight_matrix(w)
+            as_network(w)
 
     def test_rejects_nonzero_diagonal(self):
         w = random_matrix(5)
         w[2, 2] = 1.0
         with pytest.raises(SelfLoopError):
-            check_weight_matrix(w)
-
-    def test_min_nodes(self):
-        with pytest.raises(TooFewNodesError):
-            check_weight_matrix(np.zeros((2, 2)), min_nodes=4)
+            as_network(w)
 
     def test_as_network_passthrough(self):
         net = make_random_net(6, 0)
@@ -54,11 +50,11 @@ class TestCheckWeightMatrix:
 
 class TestNetworkEffectTest:
     def test_get_set_params_round_trip(self):
-        est = NetworkEffectTest(effect="eta5", alpha=0.01, repeats=3)
+        est = NetworkEffectTest(effect="eta5", alpha=0.01, random_state=3)
         params = est.get_params()
         assert params["effect"] == "eta5"
         assert params["alpha"] == 0.01
-        assert params["repeats"] == 3
+        assert params["random_state"] == 3
         clone = NetworkEffectTest().set_params(**params)
         assert clone.get_params() == params
 
@@ -78,24 +74,11 @@ class TestNetworkEffectTest:
 
     def test_fit_matches_functional_pipeline(self):
         w = random_matrix(seed=3)
-        est = NetworkEffectTest(effect="eta2", random_state=11).fit(w)
-        seed = est.report_.seeds[0] if est.report_.seeds else None
-        functional = run_effect_test(as_network(w), est.report_.effect,
-                                     seed=seed if seed is not None else 0)
-        if est.branch_ == "reduced":
-            assert est.statistic_ == functional.statistic
-        else:
-            assert est.statistic_ == pytest.approx(functional.statistic, rel=1e-14)
-
-    def test_repeats_aggregate(self):
-        w = random_matrix(seed=5)
-        est = NetworkEffectTest(effect="eta3", repeats=4, random_state=2).fit(w)
-        assert len(est.report_.seeds) == 4
-        assert est.reject_ == (est.p_value_ < 0.05)
-
-    def test_repeats_validation(self):
-        with pytest.raises(ValueError):
-            NetworkEffectTest(repeats=0).fit(random_matrix())
+        for effect in ("eta2", "eta3", "eta4", "eta5"):
+            for s in (0, 11):
+                report = NetworkEffectTest(effect=effect, random_state=s).fit(w).report_
+                assert report == run_effect_test(as_network(w), EffectKind.parse(effect),
+                                                 seed=derive_seed(s))
 
     def test_refit_is_deterministic(self):
         w = random_matrix(seed=9)
@@ -104,8 +87,6 @@ class TestNetworkEffectTest:
         assert a == b
 
     def test_accepts_effect_enum(self):
-        from neteffects import EffectKind
-
         est = NetworkEffectTest(effect=EffectKind.SENDER_RECEIVER).fit(random_matrix())
         assert est.report_.effect is EffectKind.SENDER_RECEIVER
 

@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from neteffects import EffectKind, read_edge_list
+from neteffects import test_effect as run_effect_test
 from neteffects.cli import main
+from neteffects.inference import derive_seed
 
 
 def write_edges(path, rows):
@@ -41,6 +44,17 @@ def worked_csv(tmp_path):
 
 
 @pytest.fixture
+def overflow_csv(tmp_path):
+    # weights of order 1e160: their products overflow float64
+    rng = np.random.default_rng(0)
+    rows = [[f"u{i:02d}", f"u{j:02d}", repr(rng.normal() * 1e160)]
+            for i in range(60) for j in range(60) if i != j]
+    path = tmp_path / "overflow.csv"
+    write_edges(path, rows)
+    return path
+
+
+@pytest.fixture
 def constant_csv(tmp_path):
     rows = [[f"v{i}", f"v{j}", "2.0"] for i in range(8) for j in range(8) if i != j]
     path = tmp_path / "constant.csv"
@@ -60,7 +74,7 @@ class TestCmdTest:
                             "--seed", "7"], capsys)
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         results = doc["results"]
         assert [r["effect"] for r in results] == ["eta2", "eta3", "eta4", "eta5"]
         by_effect = {r["effect"]: r for r in results}
@@ -93,14 +107,26 @@ class TestCmdTest:
         assert code == 2
         assert err.startswith("error:")
 
-    def test_repeats_echoed(self, random_csv, capsys):
+    def test_seed_is_derived(self, random_csv, capsys):
         code, out, _ = run(["test", "--input", str(random_csv), "--effect", "eta3",
-                            "--repeats", "3", "--seed", "1"], capsys)
+                            "--seed", "1"], capsys)
         assert code == 0
         doc = json.loads(out)
-        assert doc["command"]["repeats"] == 3
-        assert len(doc["command"]["derived_seeds"]) == 3
-        assert len(doc["results"][0]["seeds"]) == 3
+        assert doc["command"]["seed"] == 1
+        assert doc["command"]["derived_seed"] == derive_seed(1) == doc["results"][0]["seed"]
+        assert "repeats" not in doc["command"]
+        report = run_effect_test(read_edge_list(str(random_csv)), EffectKind.SAME_SENDER,
+                                 seed=derive_seed(1))
+        assert doc["results"][0]["statistic"] == report.statistic
+        assert doc["results"][0]["p_value"] == report.p_value
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("effect", ["all", "eta3"])
+    def test_non_finite_statistic_exits_2(self, overflow_csv, effect, capsys):
+        code, out, err = run(["test", "--input", str(overflow_csv), "--effect", effect], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "float64" in err
 
     def test_output_file(self, random_csv, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -126,6 +152,13 @@ class TestCmdDiagnose:
                             "--effect", "eta2"], capsys)
         assert code == 0
         assert json.loads(out)["results"]["verdict"] == "degenerate"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_diagnostic_exits_2(self, overflow_csv, capsys):
+        code, out, err = run(["diagnose", "--input", str(overflow_csv), "--effect", "eta5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "float64" in err
 
     def test_eta3_is_usage_error(self, random_csv, capsys):
         code, _, err = run(["diagnose", "--input", str(random_csv),

@@ -5,18 +5,16 @@ from scipy.special import ndtr
 from neteffects import (
     DirectedWeightedNetwork,
     EffectKind,
-    EmptyInputError,
+    NonFiniteStatisticError,
     UnsupportedEffectError,
     ZeroVarianceError,
-    aggregated_reduced_test,
-    combine_p_values,
     diagnose_degeneracy,
     local_effects,
     reduced_test,
     studentized_complete_test,
 )
 from neteffects import test_effect as run_effect_test
-from neteffects import test_effect_repeated as run_effect_test_repeated
+from neteffects.inference import derive_seed
 from neteffects.simulation import generate
 from . import oracles
 from .conftest import constant_net, make_random_net
@@ -74,7 +72,7 @@ class TestStudentizedCompleteTest:
         net = generate("a", "normal", 60, 1.0, False, seed=1)
         report = studentized_complete_test(net, EffectKind.RECIPROCITY, alpha=0.05)
         assert report.branch == "studentized_complete"
-        assert report.subsample_exponent is None and report.seeds is None
+        assert report.subsample_exponent is None and report.seed is None
         assert report.estimate.method == "complete"
         assert 0.0 <= report.p_value <= 1.0
         assert report.reject == (report.p_value < report.alpha)
@@ -100,7 +98,7 @@ class TestReducedTest:
                               subsample_exponent=1.3, seed=5)
         assert report.branch == "reduced"
         assert report.subsample_exponent == 1.3
-        assert report.seeds == (5,)
+        assert report.seed == 5
         assert report.diagnosis is None
         assert report.estimate.method == "reduced"
         assert report.reject == (report.p_value < 0.1)
@@ -170,64 +168,48 @@ class TestTestEffectRouting:
             run_effect_test(constant_net(10), EffectKind.SAME_SENDER)
 
 
-class TestCombinePValues:
-    def test_single_p_is_identity(self):
-        assert combine_p_values([0.05]) == pytest.approx(0.05, rel=1e-10)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+class TestNonFiniteStatistic:
+    # At 1e80 the squares of the products overflow, so spreads and variances
+    # are infinite and the statistic would read 0; at 1e160 everything is NaN.
+    @staticmethod
+    def overflowing_net(scale):
+        rng = np.random.default_rng(0)
+        w = rng.normal(size=(60, 60)) * scale
+        np.fill_diagonal(w, 0.0)
+        return DirectedWeightedNetwork(w)
 
-    def test_equal_ps_unchanged(self):
-        for q in (0.01, 0.3, 0.9):
-            assert combine_p_values([q, q, q]) == pytest.approx(q, rel=1e-10)
+    @pytest.mark.parametrize("scale", [1e80, 1e160])
+    @pytest.mark.parametrize("effect", list(EffectKind))
+    def test_test_effect_raises(self, effect, scale):
+        with pytest.raises(NonFiniteStatisticError):
+            run_effect_test(self.overflowing_net(scale), effect, seed=0)
 
-    def test_opposing_ps_give_half(self):
-        assert combine_p_values([0.02, 0.98]) == pytest.approx(0.5, abs=1e-12)
+    @pytest.mark.parametrize("scale", [1e80, 1e160])
+    @pytest.mark.parametrize("effect", DIAGNOSABLE)
+    def test_diagnose_raises(self, effect, scale):
+        with pytest.raises(NonFiniteStatisticError):
+            diagnose_degeneracy(self.overflowing_net(scale), effect)
 
-    def test_empty_raises(self):
-        with pytest.raises(EmptyInputError):
-            combine_p_values([])
+    @pytest.mark.parametrize("scale", [1e80, 1e160])
+    @pytest.mark.parametrize("effect", DIAGNOSABLE)
+    def test_studentized_raises(self, effect, scale):
+        with pytest.raises(NonFiniteStatisticError):
+            studentized_complete_test(self.overflowing_net(scale), effect)
 
-    def test_zero_is_clamped(self):
-        assert 0.0 < combine_p_values([0.0, 0.5]) < 0.5
-
-    def test_p_of_one_dominates_conservatively(self):
-        # an infinite lower quantile drags the mean z down; the combined
-        # value stays a valid (maximally conservative) p-value
-        assert combine_p_values([1.0, 0.001]) == 1.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            combine_p_values([0.5, 1.2])
+    @pytest.mark.parametrize("effect", ALWAYS_REDUCED)
+    def test_reduced_raises_on_infinite_spread(self, effect):
+        with pytest.raises(NonFiniteStatisticError, match="kernel spread is inf"):
+            reduced_test(self.overflowing_net(1e80), effect, seed=0)
 
 
-class TestAggregatedReducedTest:
-    def test_single_seed_identical_to_reduced(self):
-        net = make_random_net(30, seed=6)
-        assert aggregated_reduced_test(
-            net, EffectKind.SAME_SENDER, seeds=(17,)
-        ) == reduced_test(net, EffectKind.SAME_SENDER, seed=17)
-
-    def test_constant_network_raises(self):
-        with pytest.raises(ZeroVarianceError):
-            aggregated_reduced_test(constant_net(8), EffectKind.SAME_SENDER, seeds=(0, 1))
-
-    def test_combined_report(self):
-        net = make_random_net(40, seed=7)
-        report = aggregated_reduced_test(net, EffectKind.SAME_RECEIVER, seeds=(0, 1, 2, 3))
-        assert report.seeds == (0, 1, 2, 3)
-        assert report.branch == "reduced"
-        assert report.reject == (report.p_value < report.alpha)
-
-    def test_strong_signal_rejects(self):
-        net = generate("b", "normal", 100, 0.5, False, seed=8)
-        report = aggregated_reduced_test(net, EffectKind.SAME_SENDER,
-                                         subsample_exponent=1.2, seeds=tuple(range(100)))
-        assert report.reject
-
-    def test_repeated_routing_keeps_diagnosis(self):
-        net = generate("degenerate_reciprocity", "normal", 100, 0.0, True, seed=9)
-        report = run_effect_test_repeated(net, EffectKind.RECIPROCITY, seeds=(0, 1, 2))
-        assert report.diagnosis is not None
-        assert report.branch == "reduced"
-        assert report.seeds == (0, 1, 2)
+class TestDeriveSeed:
+    @pytest.mark.parametrize("seed, derived", [
+        (0, 3757552657), (1, 1641411168), (7, 1201125462), (2**31, 1025242703),
+    ])
+    def test_pinned_values(self, seed, derived):
+        assert derive_seed(seed) == derived
+        assert type(derive_seed(seed)) is int
 
 
 class TestLocalEffects:
