@@ -125,7 +125,7 @@ class LocalNetworkEffects(ParamsMixin):
     downstream feature use.
     """
 
-    COLUMNS = ("reciprocity", "same_sender", "same_receiver", "sender_receiver")
+    COLUMNS = tuple(effect.value for effect in EffectKind)
 
     def __init__(self):
         pass
@@ -136,7 +136,7 @@ class LocalNetworkEffects(ParamsMixin):
 
     def transform(self, X) -> np.ndarray:
         le = inference.local_effects(as_network(X))
-        return np.column_stack([le.reciprocity, le.same_sender, le.same_receiver, le.sender_receiver])
+        return np.column_stack([getattr(le, column) for column in self.COLUMNS])
 
     def fit_transform(self, X, y=None) -> np.ndarray:
         return self.fit(X).transform(X)

@@ -21,13 +21,13 @@ import time
 
 import numpy as np
 
+from .api import LocalNetworkEffects
 from .errors import NetworkEffectsError
 from .inference import (
     DegeneracyDiagnosis,
     TestReport,
     derive_seed,
     diagnose_degeneracy,
-    local_effects,
     test_effect,
 )
 from .network import EffectKind, read_edge_list
@@ -35,7 +35,7 @@ from .simulation import CONFIGS, SimulationSpec, monte_carlo
 
 SCHEMA_VERSION = 2
 
-_EFFECT_CHOICES = ["eta2", "eta3", "eta4", "eta5", "all"]
+_EFFECT_CHOICES = [effect.short_name for effect in EffectKind] + ["all"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,13 +94,6 @@ def _add_input_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="write the report here instead of stdout")
 
 
-def _effects(flag: str) -> list[EffectKind]:
-    if flag == "all":
-        return [EffectKind.RECIPROCITY, EffectKind.SAME_SENDER,
-                EffectKind.SAME_RECEIVER, EffectKind.SENDER_RECEIVER]
-    return [EffectKind.parse(flag)]
-
-
 def _jsonable(obj):
     if isinstance(obj, (TestReport, DegeneracyDiagnosis)):
         return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
@@ -136,10 +129,11 @@ def cmd_test(args) -> int:
     started = time.perf_counter()
     net = read_edge_list(args.input)
     seed = derive_seed(args.seed)
+    effects = list(EffectKind) if args.effect == "all" else [EffectKind.parse(args.effect)]
     results = [
         test_effect(net, effect, alpha=args.alpha, subsample_exponent=args.subsample_exponent,
                     seed=seed, c_constant=args.diagnostic_c)
-        for effect in _effects(args.effect)
+        for effect in effects
     ]
     echo = {
         "command": "test", "input": args.input, "effect": args.effect,
@@ -168,20 +162,14 @@ def cmd_diagnose(args) -> int:
 
 def cmd_local_effects(args) -> int:
     net = read_edge_list(args.input)
-    table = local_effects(net)
+    table = LocalNetworkEffects().transform(net)
     labels = net.labels or tuple(str(i) for i in range(net.n))
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:
         writer = csv.writer(out)
-        writer.writerow(["node", "reciprocity", "same_sender", "same_receiver", "sender_receiver"])
-        for i, label in enumerate(labels):
-            writer.writerow([
-                label,
-                repr(float(table.reciprocity[i])),
-                repr(float(table.same_sender[i])),
-                repr(float(table.same_receiver[i])),
-                repr(float(table.sender_receiver[i])),
-            ])
+        writer.writerow(["node", *LocalNetworkEffects.COLUMNS])
+        for label, row in zip(labels, table.tolist()):
+            writer.writerow([label, *map(repr, row)])
     finally:
         if args.output:
             out.close()
@@ -224,7 +212,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # numpy's overflow warnings would repeat the typed error that names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (NetworkEffectsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

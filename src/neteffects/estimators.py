@@ -90,7 +90,7 @@ class ReducedMoment:
 def mean_edge(net: DirectedWeightedNetwork) -> float:
     """Average of all n(n-1) off-diagonal weights."""
     n = net.n
-    return float(net.weights.sum() / (n * (n - 1)))
+    return net.weight_sum / (n * (n - 1))
 
 
 def _pairs(n: int) -> float:
@@ -104,31 +104,15 @@ def _triples(n: int) -> float:
 def complete_estimate(net: DirectedWeightedNetwork, effect: EffectKind) -> EffectEstimate:
     """The complete (all-tuples) estimator of one effect.
 
-    Kernel sums are accumulated in closed form from the node summaries:
-    with r, c, q, q', t the out/in sums, out/in square sums, and
-    reciprocal-product sums,
-
-    * same-sender triples sum to   sum_s (r_s^2 - q_s) / 6,
-    * same-receiver triples to     sum_s (c_s^2 - q'_s) / 6,
-    * two-path triples to          sum_b (c_b r_b - t_b) / 6,
-    * reciprocal pairs to          sum_i t_i / 2,
-
-    all of which agree with brute-force enumeration.
+    The kernel's mean over all pairs (reciprocity) or triples comes in
+    closed form from :meth:`NodeSummaries.kernel_sum`, which agrees with
+    brute-force enumeration.
     """
     net.require_nodes(3, "complete_estimate")
     n = net.n
-    s = row_col_summaries(net)
+    count = _pairs(n) if effect is EffectKind.RECIPROCITY else _triples(n)
+    moment = row_col_summaries(net).kernel_sum(effect) / count
     mu = mean_edge(net)
-    if effect is EffectKind.RECIPROCITY:
-        moment = (s.reciprocal_sum.sum() / 2.0) / _pairs(n)
-    elif effect is EffectKind.SAME_SENDER:
-        moment = ((s.out_sum**2 - s.out_sq_sum).sum() / 6.0) / _triples(n)
-    elif effect is EffectKind.SAME_RECEIVER:
-        moment = ((s.in_sum**2 - s.in_sq_sum).sum() / 6.0) / _triples(n)
-    elif effect is EffectKind.SENDER_RECEIVER:
-        moment = ((s.in_sum * s.out_sum - s.reciprocal_sum).sum() / 6.0) / _triples(n)
-    else:  # pragma: no cover - enum is closed
-        raise UnsupportedEffectError(str(effect))
     return EffectEstimate(effect=effect, value=float(moment - mu * mu), method="complete")
 
 
@@ -228,7 +212,7 @@ def centered_two_path_means(net: DirectedWeightedNetwork) -> np.ndarray:
     s = row_col_summaries(net)
     r, c, t = s.out_sum, s.in_sum, s.reciprocal_sum
     per_node_sum = (c * r + w @ r + w.T @ c - 3.0 * t) / 6.0
-    total = (c * r - t).sum() / 6.0
+    total = s.kernel_sum(EffectKind.SENDER_RECEIVER)
     return per_node_sum / ((n - 1) * (n - 2) / 2.0) - total / _triples(n)
 
 

@@ -26,7 +26,7 @@ from .estimators import (
     reduced_estimate,
     sample_quadruples,
 )
-from .network import DirectedWeightedNetwork, EffectKind
+from .network import DirectedWeightedNetwork, EffectKind, NodeSummaries
 
 __all__ = [
     "DegeneracyDiagnosis",
@@ -268,24 +268,23 @@ def local_effects(net: DirectedWeightedNetwork) -> LocalEffects:
 
     with j, k ranging over ordered pairs of nodes distinct from i.  All
     four reduce to centered row/column sums, O(n) per node.
+
+    Raises NonFiniteStatisticError when products of the weights overflow.
     """
     net.require_nodes(3, "local_effects")
     n = net.n
     mu = mean_edge(net)
     d = net.weights - mu
     np.fill_diagonal(d, 0.0)
-    row = d.sum(axis=1)
-    col = d.sum(axis=0)
-    row_sq = (d * d).sum(axis=1)
-    col_sq = (d * d).sum(axis=0)
-    recip = (d * d.T).sum(axis=1)
+    sums = NodeSummaries.of(d)
     pair_norm = (n - 1.0) * (n - 2.0)
-    return LocalEffects(
-        reciprocity=recip / (n - 1.0),
-        same_sender=(row * row - row_sq) / pair_norm,
-        same_receiver=(col * col - col_sq) / pair_norm,
-        sender_receiver=(col * row - recip) / pair_norm,
-    )
+    columns = {}
+    for effect in EffectKind:
+        values = sums.motif(effect) / (n - 1.0 if effect is EffectKind.RECIPROCITY else pair_norm)
+        # argmin finds the first non-finite value, if there is one
+        _require_finite(float(values[np.isfinite(values).argmin()]), "local effect", effect)
+        columns[effect.value] = values
+    return LocalEffects(**columns)
 
 
 def _check_alpha(alpha: float) -> None:

@@ -7,13 +7,16 @@ quadruples reproduces the complete effect estimator *exactly*; the
 subsampled tests evaluate it on random quadruples.  That identity pins
 down the correction term below.  The test suite checks it, and checks
 this vectorized form against a loop-by-loop reference kernel.
+
+The within-quad node sums and motif closed forms are those of the complete
+estimators: :class:`NodeSummaries`, applied to the stack of sub-matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .network import DirectedWeightedNetwork, EffectKind
+from .network import DirectedWeightedNetwork, EffectKind, NodeSummaries
 
 __all__ = ["quadruple_kernel_values"]
 
@@ -45,28 +48,24 @@ def quadruple_kernel_values(
     n = net.n
     quads = np.asarray(quads)
     s = w[quads[:, :, None], quads[:, None, :]]  # (m, 4, 4), zero diagonal
-    st = s.transpose(0, 2, 1)
-    out = s.sum(axis=2)
-    inn = s.sum(axis=1)
-    out_sq = (s * s).sum(axis=2)
-    in_sq = (s * s).sum(axis=1)
-    recip = (s * st).sum(axis=2)
+    sums = NodeSummaries.of(s)
+    # Kernel sums over the 6 pairs or the 4 triples inside each quad.
+    kernel_sum = {e: sums.kernel_sum(e) for e in EffectKind}
+    pair_sum = sums.reciprocal_sum.sum(axis=1) + sums.out_sq_sum.sum(axis=1)
+    del sums  # five (m, 4) arrays, not needed beside the (m, 4, 4) ssym
 
-    # Sums over the 4 unordered triples inside each quad, via the same
-    # closed forms used for the complete estimators.
-    sum_same_sender = (out * out - out_sq).sum(axis=1) / 6.0
-    sum_same_receiver = (inn * inn - in_sq).sum(axis=1) / 6.0
-    sum_two_path = (inn * out - recip).sum(axis=1) / 6.0
-
-    ssym = s + st
+    ssym = s + s.transpose(0, 2, 1)
     disjoint = (
         ssym[:, 0, 1] * ssym[:, 2, 3]
         + ssym[:, 0, 2] * ssym[:, 1, 3]
         + ssym[:, 0, 3] * ssym[:, 1, 2]
     ) / 12.0
 
-    pair_sum = recip.sum(axis=1) + out_sq.sum(axis=1)
-    triple_sum = sum_same_sender + sum_same_receiver + 2.0 * sum_two_path
+    triple_sum = (
+        kernel_sum[EffectKind.SAME_SENDER]
+        + kernel_sum[EffectKind.SAME_RECEIVER]
+        + 2.0 * kernel_sum[EffectKind.SENDER_RECEIVER]
+    )
     nn = float(n * n - n)
     correction = -(
         pair_sum / (12.0 * nn)
@@ -74,12 +73,5 @@ def quadruple_kernel_values(
         + (6.0 - 4.0 * n) * disjoint / nn
     )
 
-    if effect is EffectKind.RECIPROCITY:
-        base = (recip.sum(axis=1) / 2.0) / 6.0
-    elif effect is EffectKind.SAME_SENDER:
-        base = sum_same_sender / 4.0
-    elif effect is EffectKind.SAME_RECEIVER:
-        base = sum_same_receiver / 4.0
-    else:
-        base = sum_two_path / 4.0
+    base = kernel_sum[effect] / (6.0 if effect is EffectKind.RECIPROCITY else 4.0)
     return base - disjoint + correction

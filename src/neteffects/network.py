@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -21,6 +21,7 @@ from .errors import (
     NonFiniteWeightError,
     SelfLoopError,
     TooFewNodesError,
+    UnsupportedEffectError,
 )
 
 __all__ = [
@@ -56,12 +57,7 @@ class EffectKind(enum.Enum):
     @classmethod
     def parse(cls, name: str) -> "EffectKind":
         """Accept canonical names or the CLI short forms eta2..eta5."""
-        aliases = {
-            "eta2": cls.RECIPROCITY,
-            "eta3": cls.SAME_SENDER,
-            "eta4": cls.SAME_RECEIVER,
-            "eta5": cls.SENDER_RECEIVER,
-        }
+        aliases = {short: effect for effect, short in _SHORT_NAMES.items()}
         key = name.strip().lower()
         if key in aliases:
             return aliases[key]
@@ -74,12 +70,16 @@ class EffectKind(enum.Enum):
     @property
     def short_name(self) -> str:
         """The compact eta2..eta5 form used in CLI output."""
-        return {
-            EffectKind.RECIPROCITY: "eta2",
-            EffectKind.SAME_SENDER: "eta3",
-            EffectKind.SAME_RECEIVER: "eta4",
-            EffectKind.SENDER_RECEIVER: "eta5",
-        }[self]
+        return _SHORT_NAMES[self]
+
+
+# Outside the class body, where it would become a member.
+_SHORT_NAMES = {
+    EffectKind.RECIPROCITY: "eta2",
+    EffectKind.SAME_SENDER: "eta3",
+    EffectKind.SAME_RECEIVER: "eta4",
+    EffectKind.SENDER_RECEIVER: "eta5",
+}
 
 
 @dataclass(frozen=True)
@@ -134,15 +134,12 @@ class DirectedWeightedNetwork:
     @cached_property
     def summaries(self) -> "NodeSummaries":
         """Per-node sums, computed once per instance (weights are frozen)."""
-        w = self.weights
-        sq = w * w
-        return NodeSummaries(
-            out_sum=w.sum(axis=1),
-            in_sum=w.sum(axis=0),
-            out_sq_sum=sq.sum(axis=1),
-            in_sq_sum=sq.sum(axis=0),
-            reciprocal_sum=(w * w.T).sum(axis=1),
-        )
+        return NodeSummaries.of(self.weights)
+
+    @cached_property
+    def weight_sum(self) -> float:
+        """Sum of all weights, computed once per instance."""
+        return float(self.weights.sum())
 
     def transposed(self) -> "DirectedWeightedNetwork":
         """The network with every edge direction reversed."""
@@ -298,6 +295,9 @@ class NodeSummaries:
     * ``out_sq_sum[i]``     = sum_j e[i,j]^2
     * ``in_sq_sum[i]``      = sum_j e[j,i]^2
     * ``reciprocal_sum[i]`` = sum_j e[i,j] * e[j,i]
+
+    The complete estimators, the local effects and the quadruple kernel
+    all take these sums, and the motif sums formed from them, from here.
     """
 
     out_sum: np.ndarray
@@ -305,10 +305,42 @@ class NodeSummaries:
     out_sq_sum: np.ndarray
     in_sq_sum: np.ndarray
     reciprocal_sum: np.ndarray
-    total: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "total", float(self.out_sum.sum()))
+    @classmethod
+    def of(cls, w: np.ndarray) -> "NodeSummaries":
+        """The sums of a (k, k) matrix, or of each matrix in a (..., k, k) stack."""
+        sq = w * w
+        out_sq_sum, in_sq_sum = sq.sum(axis=-1), sq.sum(axis=-2)
+        del sq  # one (k, k) temporary at a time keeps the peak memory down
+        return cls(
+            out_sum=w.sum(axis=-1),
+            in_sum=w.sum(axis=-2),
+            out_sq_sum=out_sq_sum,
+            in_sq_sum=in_sq_sum,
+            reciprocal_sum=(w * np.swapaxes(w, -1, -2)).sum(axis=-1),
+        )
+
+    def motif(self, effect: EffectKind) -> np.ndarray:
+        """Per-node sum of one effect's motif products, in closed form.
+
+        Node s gets t_s, r_s^2 - q_s, c_s^2 - q'_s or c_s r_s - t_s for
+        reciprocity, same-sender, same-receiver or sender-receiver, with
+        r, c, q, q', t the five sums in field order.
+        """
+        if effect is EffectKind.RECIPROCITY:
+            return self.reciprocal_sum
+        if effect is EffectKind.SAME_SENDER:
+            return self.out_sum * self.out_sum - self.out_sq_sum
+        if effect is EffectKind.SAME_RECEIVER:
+            return self.in_sum * self.in_sum - self.in_sq_sum
+        if effect is EffectKind.SENDER_RECEIVER:
+            return self.in_sum * self.out_sum - self.reciprocal_sum
+        raise UnsupportedEffectError(str(effect))
+
+    def kernel_sum(self, effect: EffectKind) -> np.ndarray:
+        """The effect's kernel summed over all unordered pairs (reciprocity)
+        or triples; the motif sums along the last axis count each 2 or 6 times."""
+        return self.motif(effect).sum(axis=-1) / (2.0 if effect is EffectKind.RECIPROCITY else 6.0)
 
 
 def row_col_summaries(net: DirectedWeightedNetwork) -> NodeSummaries:

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,16 @@ class TestCmdLocalEffects:
         assert first[0] == "a"
         assert float(first[1]) == pytest.approx(-0.5)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_local_effect_exits_2(self, overflow_csv, tmp_path, capsys):
+        target = tmp_path / "local.csv"
+        code, out, err = run(["local-effects", "--input", str(overflow_csv),
+                              "--output", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "float64" in err
+        assert not target.exists()
+
     def test_constant_all_zeros(self, constant_csv, capsys):
         code, out, _ = run(["local-effects", "--input", str(constant_csv)], capsys)
         assert code == 0
@@ -186,6 +197,20 @@ class TestCmdLocalEffects:
         for row in rows:
             values = [float(x) for x in row.split(",")[1:]]
             assert all(abs(v) < 1e-12 for v in values)
+
+
+@pytest.mark.parametrize("args", [
+    ["test", "--effect", "all"],
+    ["diagnose", "--effect", "eta5"],
+    ["local-effects"],
+])
+def test_overflow_reports_one_error_line(overflow_csv, args, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run([*args, "--input", str(overflow_csv)], capsys)
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestCmdSimulate:

@@ -202,6 +202,10 @@ class TestNonFiniteStatistic:
         with pytest.raises(NonFiniteStatisticError, match="kernel spread is inf"):
             reduced_test(self.overflowing_net(1e80), effect, seed=0)
 
+    def test_local_effects_raise(self):
+        with pytest.raises(NonFiniteStatisticError, match="local effect is nan"):
+            local_effects(self.overflowing_net(1e160))
+
 
 class TestDeriveSeed:
     @pytest.mark.parametrize("seed, derived", [

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -11,11 +13,13 @@ from neteffects import (
     DuplicateEdgeError,
     EdgeRecord,
     EffectKind,
+    NodeSummaries,
     NonFiniteWeightError,
     SelfLoopError,
     TooFewNodesError,
     edge_records,
     from_edge_list,
+    mean_edge,
     read_edge_list,
     row_col_summaries,
 )
@@ -267,6 +271,33 @@ class TestRowColSummaries:
             assert s.out_sq_sum[i] == sum(w[i, j] ** 2 for j in range(n))
             assert s.in_sq_sum[i] == sum(w[j, i] ** 2 for j in range(n))
             assert s.reciprocal_sum[i] == sum(w[i, j] * w[j, i] for j in range(n))
+
+    def test_stack_matches_each_network(self):
+        net = make_random_net(12, seed=3)
+        quads = np.random.default_rng(4).permuted(np.tile(np.arange(12), (9, 1)), axis=1)[:, :4]
+        stack = net.weights[quads[:, :, None], quads[:, None, :]]
+        sums = NodeSummaries.of(stack)
+        for k in range(len(stack)):
+            one = DirectedWeightedNetwork(stack[k]).summaries
+            for f in dataclasses.fields(NodeSummaries):
+                assert np.array_equal(getattr(sums, f.name)[k], getattr(one, f.name)), f.name
+
+    @pytest.mark.parametrize("effect", list(EffectKind))
+    def test_motif_sums_match_enumeration(self, effect):
+        net = make_random_net(7, seed=8)
+        w = net.weights
+        if effect is EffectKind.RECIPROCITY:
+            expected = 2 * sum(oracles.recip(w, i, j) for i, j in itertools.combinations(range(7), 2))
+        else:
+            kernel = oracles.TRIPLE_KERNELS[effect.value]
+            expected = 6 * sum(kernel(w, *t) for t in itertools.combinations(range(7), 3))
+        assert row_col_summaries(net).motif(effect).sum() == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_mean_edge_keeps_the_bits_of_one_matrix_sum(self):
+        for seed in range(5):
+            net = make_random_net(30 + seed, seed=seed)
+            n = net.n
+            assert mean_edge(net) == float(net.weights.sum() / (n * (n - 1)))
 
 
 class TestEffectKind:
