@@ -37,7 +37,6 @@ from .inference import (
     diagnose_degeneracy,
     local_effects,
     reduced_test,
-    studentized_complete_test,
     test_effect,
 )
 from .network import (
@@ -76,7 +75,6 @@ __all__ = [
     "TestReport",
     "LocalEffects",
     "diagnose_degeneracy",
-    "studentized_complete_test",
     "reduced_test",
     "test_effect",
     "local_effects",

@@ -147,7 +147,7 @@ def cmd_test(args) -> int:
 def cmd_diagnose(args) -> int:
     started = time.perf_counter()
     effect = EffectKind.parse(args.effect)
-    if effect in (EffectKind.SAME_SENDER, EffectKind.SAME_RECEIVER):
+    if not effect.diagnosable:
         raise NetworkEffectsError(
             f"{args.effect} has no degeneracy diagnostic: its estimator is always "
             "degenerate under the null, so its test always uses the subsampled branch"
@@ -215,10 +215,7 @@ def main(argv=None) -> int:
         # numpy's overflow warnings would repeat the typed error that names it
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (NetworkEffectsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # NetworkEffectsError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ asymptotic normality under degeneracy and cuts computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,6 @@ class QuadrupleSample:
 
     tuples: np.ndarray
     n: int
-    subsample_exponent: float | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         t = np.array(self.tuples, dtype=np.int64, copy=True, order="C")
@@ -79,12 +78,9 @@ class ReducedMoment:
     from their mean, normalized by m (not m - 1).
     """
 
-    effect: EffectKind
     eta_hat: float
     sigma_hat: float
-    subsample_exponent: float | None
     m: int
-    seed: int | None
 
 
 def mean_edge(net: DirectedWeightedNetwork) -> float:
@@ -93,25 +89,15 @@ def mean_edge(net: DirectedWeightedNetwork) -> float:
     return net.weight_sum / (n * (n - 1))
 
 
-def _pairs(n: int) -> float:
-    return n * (n - 1) / 2.0
-
-
-def _triples(n: int) -> float:
-    return n * (n - 1) * (n - 2) / 6.0
-
-
 def complete_estimate(net: DirectedWeightedNetwork, effect: EffectKind) -> EffectEstimate:
     """The complete (all-tuples) estimator of one effect.
 
-    The kernel's mean over all pairs (reciprocity) or triples comes in
-    closed form from :meth:`NodeSummaries.kernel_sum`, which agrees with
-    brute-force enumeration.
+    The kernel's mean over all C(n, k) k-subsets, k the effect's arity,
+    comes in closed form from :meth:`NodeSummaries.kernel_sum`, which
+    agrees with brute-force enumeration.
     """
     net.require_nodes(3, "complete_estimate")
-    n = net.n
-    count = _pairs(n) if effect is EffectKind.RECIPROCITY else _triples(n)
-    moment = row_col_summaries(net).kernel_sum(effect) / count
+    moment = row_col_summaries(net).kernel_sum(effect) / math.comb(net.n, effect.arity)
     mu = mean_edge(net)
     return EffectEstimate(effect=effect, value=float(moment - mu * mu), method="complete")
 
@@ -145,7 +131,7 @@ def sample_quadruples(n: int, subsample_exponent: float, seed: int) -> Quadruple
         if not collided.any():
             break
         tuples[collided] = rng.integers(0, n, size=(int(collided.sum()), 4), dtype=np.int64)
-    return QuadrupleSample(tuples=tuples, n=n, subsample_exponent=subsample_exponent, seed=seed)
+    return QuadrupleSample(tuples=tuples, n=n)
 
 
 def reduced_estimate(
@@ -164,14 +150,7 @@ def reduced_estimate(
     values = quadruple_kernel_values(net, sample.tuples, effect)
     eta = float(values.mean())
     sigma = float(np.sqrt(np.mean((values - eta) ** 2)))
-    return ReducedMoment(
-        effect=effect,
-        eta_hat=eta,
-        sigma_hat=sigma,
-        subsample_exponent=sample.subsample_exponent,
-        m=sample.m,
-        seed=sample.seed,
-    )
+    return ReducedMoment(eta_hat=eta, sigma_hat=sigma, m=sample.m)
 
 
 def centered_pair_means(net: DirectedWeightedNetwork) -> np.ndarray:
@@ -213,31 +192,34 @@ def centered_two_path_means(net: DirectedWeightedNetwork) -> np.ndarray:
     r, c, t = s.out_sum, s.in_sum, s.reciprocal_sum
     per_node_sum = (c * r + w @ r + w.T @ c - 3.0 * t) / 6.0
     total = s.kernel_sum(EffectKind.SENDER_RECEIVER)
-    return per_node_sum / ((n - 1) * (n - 2) / 2.0) - total / _triples(n)
+    return per_node_sum / math.comb(n - 1, 2) - total / math.comb(n, 3)
 
 
 def projection_variance(net: DirectedWeightedNetwork, effect: EffectKind) -> float:
     """Estimated variance of the leading per-node projection of an estimator.
 
-    For the sender-receiver effect this is the mean over nodes of
-    (3 * two-path centering - 4 * mean_edge * pair centering)^2; for
-    reciprocity, (2 * reciprocal centering - 4 * mean_edge * pair
-    centering)^2.  A value of zero against a diverging threshold signals
-    degeneracy, in which case the complete estimator must not be
+    It is the mean over nodes of (k * motif centering - 4 * mean_edge *
+    pair centering)^2, with k the effect's arity (the Hoeffding projection
+    of an order-k U-statistic carries the factor k) and the motif
+    centering the two-path one for sender-receiver and the reciprocal one
+    for reciprocity.  A value of zero against a diverging threshold
+    signals degeneracy, in which case the complete estimator must not be
     studentized by this quantity.
 
-    No such diagnostic exists for the same-sender and same-receiver
-    effects, whose tests always run on the subsampled branch.
+    No such diagnostic exists for the effects that are not
+    :attr:`EffectKind.diagnosable`, whose tests always run on the
+    subsampled branch.
     """
     net.require_nodes(3, "projection_variance")
-    g_pair = centered_pair_means(net)
-    mu = mean_edge(net)
-    if effect is EffectKind.SENDER_RECEIVER:
-        g = 3.0 * centered_two_path_means(net) - 4.0 * mu * g_pair
-    elif effect is EffectKind.RECIPROCITY:
-        g = 2.0 * centered_reciprocal_means(net) - 4.0 * mu * g_pair
-    else:
+    if not effect.diagnosable:
         raise UnsupportedEffectError(
             f"no degeneracy diagnostic for {effect.value}: its test is always subsampled"
         )
+    g_pair = centered_pair_means(net)
+    mu = mean_edge(net)
+    motif = (
+        centered_two_path_means(net) if effect is EffectKind.SENDER_RECEIVER
+        else centered_reciprocal_means(net)
+    )
+    g = effect.arity * motif - 4.0 * mu * g_pair
     return float(np.mean(g * g))

@@ -3,10 +3,12 @@
 Routing summary: the same-sender and same-receiver estimators are always
 degenerate under their nulls, so those effects go straight to the
 subsampled (reduced) test.  The reciprocity and sender-receiver
-estimators may or may not be degenerate; a diagnostic compares the
-estimated projection variance against a vanishing threshold and picks the
-studentized complete test (non-degenerate) or the reduced test
-(degenerate) accordingly.
+estimators (the :attr:`EffectKind.diagnosable` ones) may or may not be
+degenerate; a diagnostic compares the estimated projection variance
+against a vanishing threshold and picks the complete estimator
+studentized by that variance (non-degenerate) or the reduced test
+(degenerate) accordingly.  The studentized complete branch is reached
+only through :func:`test_effect`, after that diagnosis.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "TestReport",
     "LocalEffects",
     "diagnose_degeneracy",
-    "studentized_complete_test",
     "reduced_test",
     "test_effect",
     "derive_seed",
@@ -125,10 +126,10 @@ def diagnose_degeneracy(
     n^(-1/2) sqrt(log n) around its population value, which is zero in
     the degenerate case and bounded away from zero otherwise, so
     comparing against c_constant times that rate separates the two.
-    Supported for the reciprocity and sender-receiver effects only.
+    Supported for the :attr:`EffectKind.diagnosable` effects only.
     """
-    if c_constant <= 0:
-        raise ValueError(f"c_constant must be positive, got {c_constant}")
+    if not 0.0 < c_constant < math.inf:
+        raise ValueError(f"c_constant must be positive and finite, got {c_constant}")
     net.require_nodes(3, "diagnose_degeneracy")
     xi2 = _require_finite(projection_variance(net, effect), "projection variance", effect)
     n = net.n
@@ -140,42 +141,6 @@ def diagnose_degeneracy(
         threshold=threshold,
         c_constant=c_constant,
         verdict=verdict,
-    )
-
-
-def studentized_complete_test(
-    net: DirectedWeightedNetwork,
-    effect: EffectKind,
-    alpha: float = 0.05,
-) -> TestReport:
-    """Test an effect with the complete estimator, studentized by the
-    estimated projection standard deviation.
-
-    Statistic: sqrt(n) * estimate / sqrt(projection_variance), compared
-    against standard normal quantiles (two-sided).  Only valid on the
-    non-degenerate branch; a zero variance estimate means the caller
-    routed the wrong branch and raises ZeroVarianceError.
-    """
-    _check_alpha(alpha)
-    net.require_nodes(3, "studentized_complete_test")
-    estimate = complete_estimate(net, effect)
-    xi2 = _require_finite(projection_variance(net, effect), "projection variance", effect)
-    if xi2 == 0.0:
-        raise ZeroVarianceError(
-            f"projection variance is exactly zero for {effect.value}; "
-            "the studentized complete test is undefined (use the reduced test)"
-        )
-    statistic = math.sqrt(net.n) * estimate.value / math.sqrt(xi2)
-    p = _two_sided_p(statistic, effect)
-    return TestReport(
-        effect=effect,
-        n=net.n,
-        alpha=alpha,
-        branch=BRANCH_COMPLETE,
-        statistic=statistic,
-        p_value=p,
-        reject=p < alpha,
-        estimate=estimate,
     )
 
 
@@ -203,20 +168,9 @@ def reduced_test(
             f"all {moment.m} kernel values are identical for {effect.value}; "
             "the studentized statistic is undefined (constant network?)"
         )
-    statistic = math.sqrt(moment.m) * moment.eta_hat / moment.sigma_hat
-    p = _two_sided_p(statistic, effect)
-    return TestReport(
-        effect=effect,
-        n=net.n,
-        alpha=alpha,
-        branch=BRANCH_REDUCED,
-        statistic=statistic,
-        p_value=p,
-        reject=p < alpha,
-        estimate=EffectEstimate(effect=effect, value=moment.eta_hat, method="reduced"),
-        subsample_exponent=subsample_exponent,
-        seed=seed,
-    )
+    estimate = EffectEstimate(effect=effect, value=moment.eta_hat, method="reduced")
+    return _studentized(net, estimate, alpha, BRANCH_REDUCED, moment.m, moment.sigma_hat,
+                        subsample_exponent=subsample_exponent, seed=seed)
 
 
 def test_effect(
@@ -229,22 +183,44 @@ def test_effect(
 ) -> TestReport:
     """Run the full pipeline for one effect.
 
-    Same-sender and same-receiver go straight to the reduced test (their
-    estimators are always degenerate under the null and no diagnostic is
-    defined).  Reciprocity and sender-receiver are first diagnosed; the
-    non-degenerate verdict routes to the studentized complete test and
-    the degenerate verdict to the reduced test, with the diagnosis
-    attached to the report either way.
+    Effects that are not :attr:`EffectKind.diagnosable` go straight to
+    the reduced test (their estimators are always degenerate under the
+    null).  Reciprocity and sender-receiver are first diagnosed, with the
+    diagnosis attached to the report.  The degenerate verdict routes to
+    the reduced test; the non-degenerate verdict to the complete
+    estimator studentized by the diagnosed projection variance xi^2:
+    sqrt(n) * estimate / xi, compared against standard normal quantiles
+    (two-sided).  That statistic is valid only when xi^2 stays away from
+    zero, so this verdict is the only way to reach it.
     """
     net.require_nodes(4, "test_effect")
-    if effect in (EffectKind.SAME_SENDER, EffectKind.SAME_RECEIVER):
+    if not effect.diagnosable:
         return reduced_test(net, effect, alpha, subsample_exponent, seed)
     diagnosis = diagnose_degeneracy(net, effect, c_constant)
-    if diagnosis.non_degenerate:
-        report = studentized_complete_test(net, effect, alpha)
-    else:
-        report = reduced_test(net, effect, alpha, subsample_exponent, seed)
-    return replace(report, diagnosis=diagnosis)
+    if not diagnosis.non_degenerate:
+        return replace(reduced_test(net, effect, alpha, subsample_exponent, seed), diagnosis=diagnosis)
+    _check_alpha(alpha)
+    return _studentized(net, complete_estimate(net, effect), alpha, BRANCH_COMPLETE,
+                        net.n, math.sqrt(diagnosis.xi_squared), diagnosis=diagnosis)
+
+
+def _studentized(net, estimate: EffectEstimate, alpha: float, branch: str,
+                 count: int, spread: float, **fields) -> TestReport:
+    """The report for statistic sqrt(count) * estimate / spread and its
+    two-sided p-value; ``fields`` fill the branch's remaining report fields."""
+    statistic = math.sqrt(count) * estimate.value / spread
+    p = _two_sided_p(statistic, estimate.effect)
+    return TestReport(
+        effect=estimate.effect,
+        n=net.n,
+        alpha=alpha,
+        branch=branch,
+        statistic=statistic,
+        p_value=p,
+        reject=p < alpha,
+        estimate=estimate,
+        **fields,
+    )
 
 
 def derive_seed(seed: int) -> int:
@@ -277,10 +253,10 @@ def local_effects(net: DirectedWeightedNetwork) -> LocalEffects:
     d = net.weights - mu
     np.fill_diagonal(d, 0.0)
     sums = NodeSummaries.of(d)
-    pair_norm = (n - 1.0) * (n - 2.0)
     columns = {}
     for effect in EffectKind:
-        values = sums.motif(effect) / (n - 1.0 if effect is EffectKind.RECIPROCITY else pair_norm)
+        # ordered (arity - 1)-tuples of the other n - 1 nodes
+        values = sums.motif(effect) / math.perm(n - 1, effect.arity - 1)
         # argmin finds the first non-finite value, if there is one
         _require_finite(float(values[np.isfinite(values).argmin()]), "local effect", effect)
         columns[effect.value] = values

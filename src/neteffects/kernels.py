@@ -14,6 +14,8 @@ estimators: :class:`NodeSummaries`, applied to the stack of sub-matrices.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .network import DirectedWeightedNetwork, EffectKind, NodeSummaries
@@ -73,5 +75,6 @@ def quadruple_kernel_values(
         + (6.0 - 4.0 * n) * disjoint / nn
     )
 
-    base = kernel_sum[effect] / (6.0 if effect is EffectKind.RECIPROCITY else 4.0)
+    # mean over the C(4, k) k-subsets of the quad, k the effect's arity
+    base = kernel_sum[effect] / math.comb(4, effect.arity)
     return base - disjoint + correction

@@ -72,6 +72,19 @@ class EffectKind(enum.Enum):
         """The compact eta2..eta5 form used in CLI output."""
         return _SHORT_NAMES[self]
 
+    @property
+    def arity(self) -> int:
+        """Nodes in the effect's motif: 2 for reciprocity, 3 for the others.
+        Every count that normalizes a kernel sum follows from it."""
+        return 2 if self is EffectKind.RECIPROCITY else 3
+
+    @property
+    def diagnosable(self) -> bool:
+        """Whether a degeneracy diagnostic exists.  Same-sender and
+        same-receiver estimators are always degenerate under the null, so
+        their tests always run on the subsampled branch."""
+        return self in (EffectKind.RECIPROCITY, EffectKind.SENDER_RECEIVER)
+
 
 # Outside the class body, where it would become a member.
 _SHORT_NAMES = {
@@ -338,9 +351,9 @@ class NodeSummaries:
         raise UnsupportedEffectError(str(effect))
 
     def kernel_sum(self, effect: EffectKind) -> np.ndarray:
-        """The effect's kernel summed over all unordered pairs (reciprocity)
-        or triples; the motif sums along the last axis count each 2 or 6 times."""
-        return self.motif(effect).sum(axis=-1) / (2.0 if effect is EffectKind.RECIPROCITY else 6.0)
+        """The effect's kernel summed over all unordered k-subsets, k its
+        arity; the motif sums along the last axis count each one k! times."""
+        return self.motif(effect).sum(axis=-1) / math.factorial(effect.arity)
 
 
 def row_col_summaries(net: DirectedWeightedNetwork) -> NodeSummaries:

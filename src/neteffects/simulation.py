@@ -1,15 +1,16 @@
 """Synthetic network generators and a Monte Carlo test harness.
 
 Settings "a", "b", and "c" are additive/multiplicative latent-variable
-models whose tested effect has a known population value (zero under the
-null, c_squared under the alternative), used to measure empirical type-I
-error rate and power.  Four further generators produce known degenerate
-and non-degenerate cases for the two diagnosable effects, used to
-exercise the degeneracy diagnostic.
+models with unit-variance latents, so their tested effect has a known
+population value (zero under the null, c_squared under the alternative),
+used to measure empirical type-I error rate and power.  Four further
+generators produce known degenerate and non-degenerate cases for the two
+diagnosable effects, used to exercise the degeneracy diagnostic.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -25,7 +26,6 @@ __all__ = [
     "SimulationSpec",
     "MonteCarloSummary",
     "default_effect",
-    "population_effect",
     "generate",
     "monte_carlo",
 ]
@@ -100,6 +100,10 @@ class SimulationSpec:
             raise InvalidSpecError(
                 f"subsample_exponent must be in [1, 2), got {self.subsample_exponent}"
             )
+        if not 0 < self.diagnostic_constant < math.inf:
+            raise InvalidSpecError(
+                f"diagnostic_constant must be positive and finite, got {self.diagnostic_constant}"
+            )
         if self.effect is None:
             object.__setattr__(self, "effect", default_effect(self.setting))
 
@@ -114,19 +118,6 @@ class MonteCarloSummary:
     branch_counts: dict[str, int]
     zero_variance_count: int = 0
     statistics: tuple[float, ...] | None = None
-
-
-def population_effect(spec: SimulationSpec) -> float:
-    """Population value of the tested effect under settings a, b, c.
-
-    All three latent laws have unit variance, so the tested effect equals
-    c_squared under the alternative and 0 under the null (for setting c
-    the centering E[a] = d kills every cross-covariance under the null,
-    for any latent law with that mean).
-    """
-    if spec.setting not in ("a", "b", "c"):
-        raise InvalidSpecError(f"no population value defined for setting {spec.setting!r}")
-    return 0.0 if spec.null_case else float(spec.c_squared)
 
 
 def _draw_latents(config: str, rng: np.random.Generator, n: int, want: str) -> np.ndarray:

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +133,13 @@ class TestCmdTest:
         assert out == ""
         assert err.startswith("error:") and "float64" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_diagnostic_constant_exits_2(self, random_csv, value, capsys):
+        code, out, err = run(["test", "--input", str(random_csv), "--diagnostic-c", value], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: c_constant must be positive and finite, got {value}\n"
+
     def test_output_file(self, random_csv, tmp_path, capsys):
         target = tmp_path / "report.json"
         code, out, _ = run(["test", "--input", str(random_csv), "--effect", "eta3",
@@ -254,3 +265,26 @@ class TestCmdSimulate:
         _, out1, _ = run(base, capsys)
         _, out2, _ = run(base + ["--threads", "2"], capsys)
         assert json.loads(out1)["results"] == json.loads(out2)["results"]
+
+
+class TestModuleEntryPoint:
+    """``python -m neteffects.cli`` as a process: its exit status, not main()'s."""
+
+    @staticmethod
+    def run_module(*args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "neteffects.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=300)
+
+    def test_good_input_exits_0(self, random_csv):
+        proc = self.run_module("test", "--input", str(random_csv))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert len(json.loads(proc.stdout)["results"]) == 4
+
+    def test_constant_input_exits_2_with_one_error_line(self, constant_csv):
+        proc = self.run_module("test", "--input", str(constant_csv))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -11,8 +11,8 @@ from neteffects import (
     diagnose_degeneracy,
     local_effects,
     reduced_test,
-    studentized_complete_test,
 )
+from neteffects import inference
 from neteffects import test_effect as run_effect_test
 from neteffects.inference import derive_seed
 from neteffects.simulation import generate
@@ -48,9 +48,10 @@ class TestDiagnoseDegeneracy:
         with pytest.raises(UnsupportedEffectError):
             diagnose_degeneracy(make_random_net(10, 0), effect)
 
-    def test_bad_constant(self):
-        with pytest.raises(ValueError):
-            diagnose_degeneracy(make_random_net(10, 0), EffectKind.RECIPROCITY, c_constant=0.0)
+    @pytest.mark.parametrize("c_constant", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_constant(self, c_constant):
+        with pytest.raises(ValueError, match="c_constant must be positive and finite"):
+            diagnose_degeneracy(make_random_net(10, 0), EffectKind.RECIPROCITY, c_constant=c_constant)
 
     def test_known_nondegenerate_generator(self):
         # additive reciprocity-style model with node heterogeneity keeps
@@ -64,27 +65,36 @@ class TestDiagnoseDegeneracy:
 
 
 class TestStudentizedCompleteTest:
+    """The complete branch, reached through test_effect's diagnosis."""
+
     def test_constant_network_raises(self):
+        # xi^2 = 0 is a degenerate verdict, and every kernel value is equal
         with pytest.raises(ZeroVarianceError):
-            studentized_complete_test(constant_net(8), EffectKind.RECIPROCITY)
+            run_effect_test(constant_net(8), EffectKind.RECIPROCITY)
 
     def test_report_fields(self):
         net = generate("a", "normal", 60, 1.0, False, seed=1)
-        report = studentized_complete_test(net, EffectKind.RECIPROCITY, alpha=0.05)
+        report = run_effect_test(net, EffectKind.RECIPROCITY, alpha=0.05)
         assert report.branch == "studentized_complete"
+        assert report.diagnosis.non_degenerate
         assert report.subsample_exponent is None and report.seed is None
         assert report.estimate.method == "complete"
+        assert report.statistic == (
+            np.sqrt(60) * report.estimate.value / np.sqrt(report.diagnosis.xi_squared)
+        )
         assert 0.0 <= report.p_value <= 1.0
         assert report.reject == (report.p_value < report.alpha)
 
     def test_strong_signal_rejects(self):
         net = generate("a", "normal", 100, 5.0, False, seed=2)
-        report = studentized_complete_test(net, EffectKind.RECIPROCITY)
+        report = run_effect_test(net, EffectKind.RECIPROCITY)
+        assert report.branch == "studentized_complete"
         assert report.reject
 
     def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            studentized_complete_test(make_random_net(10, 0), EffectKind.RECIPROCITY, alpha=1.5)
+        net = generate("a", "normal", 60, 1.0, False, seed=1)
+        with pytest.raises(ValueError, match="alpha"):
+            run_effect_test(net, EffectKind.RECIPROCITY, alpha=1.5)
 
 
 class TestReducedTest:
@@ -167,6 +177,26 @@ class TestTestEffectRouting:
         with pytest.raises(ZeroVarianceError):
             run_effect_test(constant_net(10), EffectKind.SAME_SENDER)
 
+    @pytest.mark.parametrize("setting, effect, branch", [
+        ("nondegenerate_reciprocity", EffectKind.RECIPROCITY, "studentized_complete"),
+        ("degenerate_reciprocity", EffectKind.RECIPROCITY, "reduced"),
+        ("nondegenerate_sender_receiver", EffectKind.SENDER_RECEIVER, "studentized_complete"),
+        ("degenerate_sender_receiver", EffectKind.SENDER_RECEIVER, "reduced"),
+    ])
+    def test_projection_variance_computed_once(self, setting, effect, branch, monkeypatch):
+        calls = []
+        original = inference.projection_variance
+
+        def counted(net, kind):
+            calls.append(kind)
+            return original(net, kind)
+
+        monkeypatch.setattr(inference, "projection_variance", counted)
+        net = generate(setting, "normal", 150, 0.0, True, seed=4)
+        report = run_effect_test(net, effect, seed=0)
+        assert report.branch == branch
+        assert calls == [effect]
+
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 class TestNonFiniteStatistic:
@@ -190,12 +220,6 @@ class TestNonFiniteStatistic:
     def test_diagnose_raises(self, effect, scale):
         with pytest.raises(NonFiniteStatisticError):
             diagnose_degeneracy(self.overflowing_net(scale), effect)
-
-    @pytest.mark.parametrize("scale", [1e80, 1e160])
-    @pytest.mark.parametrize("effect", DIAGNOSABLE)
-    def test_studentized_raises(self, effect, scale):
-        with pytest.raises(NonFiniteStatisticError):
-            studentized_complete_test(self.overflowing_net(scale), effect)
 
     @pytest.mark.parametrize("effect", ALWAYS_REDUCED)
     def test_reduced_raises_on_infinite_spread(self, effect):

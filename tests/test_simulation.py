@@ -10,7 +10,7 @@ from neteffects import (
     generate,
     monte_carlo,
 )
-from neteffects.simulation import _draw_latents, _run_replicate, default_effect, population_effect
+from neteffects.simulation import _draw_latents, _run_replicate, default_effect
 
 
 class TestSimulationSpec:
@@ -28,16 +28,12 @@ class TestSimulationSpec:
         dict(setting="a", n=50, reps=10, c_squared=-1.0),
         dict(setting="a", n=50, reps=10, alpha=0.0),
         dict(setting="a", n=50, reps=10, subsample_exponent=2.0),
+        dict(setting="a", n=50, reps=10, diagnostic_constant=float("nan")),
+        dict(setting="a", n=50, reps=10, diagnostic_constant=0.0),
     ])
     def test_invalid_specs(self, kwargs):
         with pytest.raises(InvalidSpecError):
             SimulationSpec(**kwargs)
-
-    def test_population_effect(self):
-        assert population_effect(SimulationSpec(setting="b", n=50, reps=1,
-                                                c_squared=0.7, null_case=False)) == 0.7
-        assert population_effect(SimulationSpec(setting="c", n=50, reps=1,
-                                                null_case=True)) == 0.0
 
 
 class TestGenerate:
