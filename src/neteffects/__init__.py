@@ -36,16 +36,13 @@ from .inference import (
     TestReport,
     diagnose_degeneracy,
     local_effects,
-    reduced_test,
     test_effect,
 )
 from .network import (
     DirectedWeightedNetwork,
-    EdgeRecord,
     EffectKind,
     NodeSummaries,
     as_network,
-    edge_records,
     from_edge_list,
     read_edge_list,
     row_col_summaries,
@@ -56,12 +53,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DirectedWeightedNetwork",
-    "EdgeRecord",
     "EffectKind",
     "NodeSummaries",
     "from_edge_list",
     "read_edge_list",
-    "edge_records",
     "row_col_summaries",
     "EffectEstimate",
     "ReducedMoment",
@@ -75,7 +70,6 @@ __all__ = [
     "TestReport",
     "LocalEffects",
     "diagnose_degeneracy",
-    "reduced_test",
     "test_effect",
     "local_effects",
     "SimulationSpec",

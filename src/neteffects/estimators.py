@@ -112,6 +112,13 @@ def subsample_size(n: int, subsample_exponent: float) -> int:
     return max(1, int(round(n**subsample_exponent)))
 
 
+def check_subsample_exponent(value: float, name: str = "subsample exponent") -> None:
+    """Raise ValueError unless 1 <= value < 2 (so NaN fails): the one rule
+    for the subsample exponent, whichever entry point receives it."""
+    if not 1.0 <= value < 2.0:
+        raise ValueError(f"{name} must be in [1, 2), got {value}")
+
+
 def sample_quadruples(n: int, subsample_exponent: float, seed: int) -> QuadrupleSample:
     """Draw round(n ** exponent) quadruples uniformly, with replacement.
 
@@ -121,8 +128,7 @@ def sample_quadruples(n: int, subsample_exponent: float, seed: int) -> Quadruple
     """
     if n < 4:
         raise TooFewNodesError(f"quadruple sampling needs n >= 4, got {n}")
-    if not 1.0 <= subsample_exponent < 2.0:
-        raise ValueError(f"subsample exponent must be in [1, 2), got {subsample_exponent}")
+    check_subsample_exponent(subsample_exponent)
     m = subsample_size(n, subsample_exponent)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     tuples = rng.integers(0, n, size=(m, 4), dtype=np.int64)

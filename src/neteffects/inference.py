@@ -7,14 +7,14 @@ estimators (the :attr:`EffectKind.diagnosable` ones) may or may not be
 degenerate; a diagnostic compares the estimated projection variance
 against a vanishing threshold and picks the complete estimator
 studentized by that variance (non-degenerate) or the reduced test
-(degenerate) accordingly.  The studentized complete branch is reached
-only through :func:`test_effect`, after that diagnosis.
+(degenerate) accordingly.  Each branch is calibrated only under its own
+verdict, so both are reached only through :func:`test_effect`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -22,6 +22,7 @@ from scipy.special import ndtr
 from .errors import NonFiniteStatisticError, ZeroVarianceError
 from .estimators import (
     EffectEstimate,
+    check_subsample_exponent,
     complete_estimate,
     mean_edge,
     projection_variance,
@@ -35,7 +36,6 @@ __all__ = [
     "TestReport",
     "LocalEffects",
     "diagnose_degeneracy",
-    "reduced_test",
     "test_effect",
     "derive_seed",
     "local_effects",
@@ -128,8 +128,7 @@ def diagnose_degeneracy(
     comparing against c_constant times that rate separates the two.
     Supported for the :attr:`EffectKind.diagnosable` effects only.
     """
-    if not 0.0 < c_constant < math.inf:
-        raise ValueError(f"c_constant must be positive and finite, got {c_constant}")
+    check_c_constant(c_constant)
     net.require_nodes(3, "diagnose_degeneracy")
     xi2 = _require_finite(projection_variance(net, effect), "projection variance", effect)
     n = net.n
@@ -142,35 +141,6 @@ def diagnose_degeneracy(
         c_constant=c_constant,
         verdict=verdict,
     )
-
-
-def reduced_test(
-    net: DirectedWeightedNetwork,
-    effect: EffectKind,
-    alpha: float = 0.05,
-    subsample_exponent: float = 1.2,
-    seed: int = 0,
-) -> TestReport:
-    """Test an effect via the subsampled 4-tuple kernel.
-
-    With m = round(n ** subsample_exponent) quadruples, the statistic is
-    sqrt(m) * mean / spread of the kernel values, i.e. exactly the
-    standardized subsample mean, compared against standard normal
-    quantiles (two-sided).
-    """
-    _check_alpha(alpha)
-    net.require_nodes(4, "reduced_test")
-    sample = sample_quadruples(net.n, subsample_exponent, seed)
-    moment = reduced_estimate(net, effect, sample)
-    _require_finite(moment.sigma_hat, "kernel spread", effect)
-    if moment.sigma_hat == 0.0:
-        raise ZeroVarianceError(
-            f"all {moment.m} kernel values are identical for {effect.value}; "
-            "the studentized statistic is undefined (constant network?)"
-        )
-    estimate = EffectEstimate(effect=effect, value=moment.eta_hat, method="reduced")
-    return _studentized(net, estimate, alpha, BRANCH_REDUCED, moment.m, moment.sigma_hat,
-                        subsample_exponent=subsample_exponent, seed=seed)
 
 
 def test_effect(
@@ -186,22 +156,38 @@ def test_effect(
     Effects that are not :attr:`EffectKind.diagnosable` go straight to
     the reduced test (their estimators are always degenerate under the
     null).  Reciprocity and sender-receiver are first diagnosed, with the
-    diagnosis attached to the report.  The degenerate verdict routes to
-    the reduced test; the non-degenerate verdict to the complete
-    estimator studentized by the diagnosed projection variance xi^2:
-    sqrt(n) * estimate / xi, compared against standard normal quantiles
-    (two-sided).  That statistic is valid only when xi^2 stays away from
-    zero, so this verdict is the only way to reach it.
+    diagnosis attached to the report.  The non-degenerate verdict routes
+    to the complete estimator studentized by the diagnosed projection
+    variance xi^2: sqrt(n) * estimate / xi.  That statistic is valid only
+    when xi^2 stays away from zero, so this verdict is the only way to
+    reach it.  The degenerate verdict routes to the reduced test: with
+    m = round(n ** subsample_exponent) quadruples, sqrt(m) * mean / spread
+    of the kernel values, the standardized subsample mean, which is
+    calibrated only under degeneracy.  Both statistics are compared
+    against standard normal quantiles (two-sided).
+
+    ``alpha``, ``subsample_exponent`` and ``c_constant`` are checked
+    here, before any pass over the weights, whichever branch runs.
     """
     net.require_nodes(4, "test_effect")
-    if not effect.diagnosable:
-        return reduced_test(net, effect, alpha, subsample_exponent, seed)
-    diagnosis = diagnose_degeneracy(net, effect, c_constant)
-    if not diagnosis.non_degenerate:
-        return replace(reduced_test(net, effect, alpha, subsample_exponent, seed), diagnosis=diagnosis)
-    _check_alpha(alpha)
-    return _studentized(net, complete_estimate(net, effect), alpha, BRANCH_COMPLETE,
-                        net.n, math.sqrt(diagnosis.xi_squared), diagnosis=diagnosis)
+    check_alpha(alpha)
+    check_subsample_exponent(subsample_exponent)
+    check_c_constant(c_constant)
+    diagnosis = diagnose_degeneracy(net, effect, c_constant) if effect.diagnosable else None
+    if diagnosis is not None and diagnosis.non_degenerate:
+        return _studentized(net, complete_estimate(net, effect), alpha, BRANCH_COMPLETE,
+                            net.n, math.sqrt(diagnosis.xi_squared), diagnosis=diagnosis)
+    sample = sample_quadruples(net.n, subsample_exponent, seed)
+    moment = reduced_estimate(net, effect, sample)
+    _require_finite(moment.sigma_hat, "kernel spread", effect)
+    if moment.sigma_hat == 0.0:
+        raise ZeroVarianceError(
+            f"all {moment.m} kernel values are identical for {effect.value}; "
+            "the studentized statistic is undefined (constant network?)"
+        )
+    estimate = EffectEstimate(effect=effect, value=moment.eta_hat, method="reduced")
+    return _studentized(net, estimate, alpha, BRANCH_REDUCED, moment.m, moment.sigma_hat,
+                        subsample_exponent=subsample_exponent, seed=seed, diagnosis=diagnosis)
 
 
 def _studentized(net, estimate: EffectEstimate, alpha: float, branch: str,
@@ -263,6 +249,13 @@ def local_effects(net: DirectedWeightedNetwork) -> LocalEffects:
     return LocalEffects(**columns)
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless 0 < alpha < 1 (so NaN fails)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def check_c_constant(c_constant: float, name: str = "c_constant") -> None:
+    """Raise ValueError unless 0 < c_constant < inf (so NaN fails)."""
+    if not 0.0 < c_constant < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {c_constant}")

@@ -26,13 +26,11 @@ from .errors import (
 
 __all__ = [
     "DirectedWeightedNetwork",
-    "EdgeRecord",
     "EffectKind",
     "NodeSummaries",
     "as_network",
     "from_edge_list",
     "read_edge_list",
-    "edge_records",
     "row_col_summaries",
 ]
 
@@ -95,15 +93,6 @@ _SHORT_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
-    """One directed weighted edge, by node label."""
-
-    source: str
-    target: str
-    weight: float
-
-
 @dataclass(frozen=True, eq=False)
 class DirectedWeightedNetwork:
     """A dense weighted directed network on n >= 2 nodes.
@@ -154,10 +143,6 @@ class DirectedWeightedNetwork:
         """Sum of all weights, computed once per instance."""
         return float(self.weights.sum())
 
-    def transposed(self) -> "DirectedWeightedNetwork":
-        """The network with every edge direction reversed."""
-        return DirectedWeightedNetwork(self.weights.T, labels=self.labels)
-
     def require_nodes(self, minimum: int, what: str = "this operation") -> None:
         if self.n < minimum:
             raise TooFewNodesError(f"{what} needs at least {minimum} nodes, got {self.n}")
@@ -169,7 +154,7 @@ def as_network(X) -> DirectedWeightedNetwork:
 
 
 def from_edge_list(
-    records: Sequence[EdgeRecord | tuple],
+    records: Sequence[tuple],
     node_universe: Iterable[str] | None = None,
 ) -> DirectedWeightedNetwork:
     """Build a network from (source, target, weight) records.
@@ -185,7 +170,7 @@ def from_edge_list(
     ------
     DuplicateEdgeError, SelfLoopError, NonFiniteWeightError, ValueError, TypeError
     """
-    rows = [(r.source, r.target, r.weight) if isinstance(r, EdgeRecord) else tuple(r) for r in records]
+    rows = [tuple(r) for r in records]
     if any(len(r) != 3 for r in rows):
         raise TypeError("each record must be a (source, target, weight) triple")
     code: dict[str, int] = {}
@@ -256,15 +241,6 @@ def _from_codes(code, src, dst, wts, where) -> DirectedWeightedNetwork:
     weights = np.zeros((n, n), dtype=np.float64)
     weights[i, j] = w
     return DirectedWeightedNetwork(weights, labels=tuple(labels))
-
-
-def edge_records(net: DirectedWeightedNetwork) -> list[EdgeRecord]:
-    """All nonzero edges of ``net`` as labelled records (row-major order)."""
-    labels = net.labels or tuple(str(i) for i in range(net.n))
-    out = []
-    for i, j in zip(*np.nonzero(net.weights)):
-        out.append(EdgeRecord(labels[i], labels[j], float(net.weights[i, j])))
-    return out
 
 
 def read_edge_list(path) -> DirectedWeightedNetwork:

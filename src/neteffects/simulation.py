@@ -10,14 +10,14 @@ diagnosable effects, used to exercise the degeneracy diagnostic.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidSpecError, ZeroVarianceError
-from .inference import test_effect
+from .estimators import check_subsample_exponent
+from .inference import check_alpha, check_c_constant, test_effect
 from .network import DirectedWeightedNetwork, EffectKind
 
 __all__ = [
@@ -94,16 +94,12 @@ class SimulationSpec:
             raise InvalidSpecError(f"reps must be at least 1, got {self.reps}")
         if self.c_squared < 0:
             raise InvalidSpecError(f"c_squared must be nonnegative, got {self.c_squared}")
-        if not 0 < self.alpha < 1:
-            raise InvalidSpecError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 1.0 <= self.subsample_exponent < 2.0:
-            raise InvalidSpecError(
-                f"subsample_exponent must be in [1, 2), got {self.subsample_exponent}"
-            )
-        if not 0 < self.diagnostic_constant < math.inf:
-            raise InvalidSpecError(
-                f"diagnostic_constant must be positive and finite, got {self.diagnostic_constant}"
-            )
+        try:
+            check_alpha(self.alpha)
+            check_subsample_exponent(self.subsample_exponent, "subsample_exponent")
+            check_c_constant(self.diagnostic_constant, "diagnostic_constant")
+        except ValueError as exc:
+            raise InvalidSpecError(str(exc)) from None
         if self.effect is None:
             object.__setattr__(self, "effect", default_effect(self.setting))
 

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from neteffects import DirectedWeightedNetwork
+from neteffects import DirectedWeightedNetwork, reduced_estimate, sample_quadruples
 
 
 @pytest.fixture
@@ -31,3 +33,12 @@ def constant_net(n: int, value: float = 2.0) -> DirectedWeightedNetwork:
     w = np.full((n, n), value)
     np.fill_diagonal(w, 0.0)
     return DirectedWeightedNetwork(w)
+
+
+def reduced_statistic(net: DirectedWeightedNetwork, effect, seed: int,
+                      subsample_exponent: float = 1.2) -> float:
+    """sqrt(m) * mean / spread of the quadruple kernel: the reduced branch's
+    statistic, computed whatever branch test_effect would pick."""
+    sample = sample_quadruples(net.n, subsample_exponent, seed)
+    moment = reduced_estimate(net, effect, sample)
+    return math.sqrt(moment.m) * moment.eta_hat / moment.sigma_hat

@@ -14,7 +14,6 @@ import numpy as np
 from neteffects import (
     DirectedWeightedNetwork,
     DuplicateEdgeError,
-    EdgeRecord,
     EffectKind,
     NonFiniteWeightError,
     SelfLoopError,
@@ -152,8 +151,10 @@ def naive_local_effects(w):
 
 def reference_from_edge_list(records, node_universe=None):
     """Record-by-record network construction: the first offending record raises."""
-    recs = [r if isinstance(r, EdgeRecord) else EdgeRecord(*r) for r in records]
-    labels = {str(r.source) for r in recs} | {str(r.target) for r in recs}
+    recs = [tuple(r) for r in records]
+    if any(len(r) != 3 for r in recs):
+        raise TypeError("each record must be a (source, target, weight) triple")
+    labels = {str(source) for source, _, _ in recs} | {str(target) for _, target, _ in recs}
     if node_universe is not None:
         labels |= {str(u) for u in node_universe}
     if not labels:
@@ -164,22 +165,23 @@ def reference_from_edge_list(records, node_universe=None):
     n = len(ordered)
     weights = np.zeros((n, n), dtype=np.float64)
     seen = set()
-    for r in recs:
-        if str(r.source) == str(r.target):
-            raise SelfLoopError(f"self-loop record {r.source!r} -> {r.target!r}")
-        w = float(r.weight)
+    for source, target, weight in recs:
+        if str(source) == str(target):
+            raise SelfLoopError(f"self-loop record {source!r} -> {target!r}")
+        w = float(weight)
         if not math.isfinite(w):
-            raise NonFiniteWeightError(f"non-finite weight on {r.source!r} -> {r.target!r}")
-        ij = (index[str(r.source)], index[str(r.target)])
+            raise NonFiniteWeightError(f"non-finite weight on {source!r} -> {target!r}")
+        ij = (index[str(source)], index[str(target)])
         if ij in seen:
-            raise DuplicateEdgeError(f"duplicate edge {r.source!r} -> {r.target!r}")
+            raise DuplicateEdgeError(f"duplicate edge {source!r} -> {target!r}")
         seen.add(ij)
         weights[ij] = w
     return DirectedWeightedNetwork(weights, labels=ordered)
 
 
 def reference_read_edge_list(path):
-    """Row-by-row CSV reader: one EdgeRecord per row, then the function above."""
+    """Row-by-row CSV reader: one (source, target, weight) record per row, then
+    the function above."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -195,5 +197,5 @@ def reference_read_edge_list(path):
                 weight = float(row[2])
             except ValueError:
                 raise NonFiniteWeightError(f"{path}:{lineno}: cannot parse weight {row[2]!r}") from None
-            records.append(EdgeRecord(row[0].strip(), row[1].strip(), weight))
+            records.append((row[0].strip(), row[1].strip(), weight))
     return reference_from_edge_list(records)

@@ -22,14 +22,14 @@ from neteffects import (
     generate,
     monte_carlo,
     projection_variance,
-    reduced_test,
     sample_quadruples,
 )
+from neteffects import test_effect as run_effect_test
 from neteffects.estimators import centered_pair_means, centered_reciprocal_means, centered_two_path_means
 from neteffects.kernels import quadruple_kernel_values
 from neteffects.inference import local_effects
 from . import oracles
-from .conftest import make_random_net
+from .conftest import make_random_net, reduced_statistic
 
 ALL_EFFECTS = list(EffectKind)
 
@@ -216,7 +216,7 @@ def test_criterion_09_performance():
     big = DirectedWeightedNetwork(w)
     del w
     start = time.perf_counter()
-    report = reduced_test(big, EffectKind.SAME_SENDER, subsample_exponent=1.2, seed=0)
+    report = run_effect_test(big, EffectKind.SAME_SENDER, subsample_exponent=1.2, seed=0)
     reduced_elapsed = time.perf_counter() - start
     assert reduced_elapsed < 2.0
     m = sample_quadruples(10000, 1.2, seed=0).m
@@ -227,16 +227,22 @@ def test_criterion_09_performance():
             f"n=10000 reduced test ({m} quadruples) {reduced_elapsed:.2f}s < 2s")
 
 
-def test_criterion_10_property_suite():
-    """Relabeling invariance, transpose dualities, scale invariance of
-    the reduced statistic, determinism, and centering of the per-node
-    projection vectors, on randomized inputs."""
+def _criterion_10_networks():
+    """Criterion 10's five random networks, each with its seed and a random
+    relabelling, drawn in the criterion's order."""
     rng = np.random.default_rng(5)
     for seed in range(5):
         n = int(rng.integers(8, 16))
         net = make_random_net(n, seed=3000 + seed)
+        yield seed, net, rng.permutation(n)
 
-        perm = rng.permutation(n)
+
+def test_criterion_10_property_suite():
+    """Relabeling invariance, transpose dualities, scale invariance of
+    the reduced statistic, determinism, and centering of the per-node
+    projection vectors, on randomized inputs."""
+    for seed, net, perm in _criterion_10_networks():
+        n = net.n
         relabeled = DirectedWeightedNetwork(net.weights[np.ix_(perm, perm)])
         for effect in ALL_EFFECTS:
             assert complete_estimate(relabeled, effect).value == pytest.approx(
@@ -247,7 +253,7 @@ def test_criterion_10_property_suite():
                 projection_variance(net, effect), rel=1e-12
             )
 
-        flipped = net.transposed()
+        flipped = DirectedWeightedNetwork(net.weights.T)
         assert complete_estimate(flipped, EffectKind.SAME_SENDER).value == pytest.approx(
             complete_estimate(net, EffectKind.SAME_RECEIVER).value, rel=1e-12, abs=1e-14
         )
@@ -258,10 +264,10 @@ def test_criterion_10_property_suite():
 
         scaled = DirectedWeightedNetwork(4.0 * net.weights)
         for effect in ALL_EFFECTS:
-            assert reduced_test(scaled, effect, seed=seed).statistic == pytest.approx(
-                reduced_test(net, effect, seed=seed).statistic, rel=1e-10
+            assert reduced_statistic(scaled, effect, seed=seed) == pytest.approx(
+                reduced_statistic(net, effect, seed=seed), rel=1e-10
             )
-            assert reduced_test(net, effect, seed=seed) == reduced_test(net, effect, seed=seed)
+            assert run_effect_test(net, effect, seed=seed) == run_effect_test(net, effect, seed=seed)
 
         scale = float(np.abs(net.weights).max() ** 2) + 1.0
         for vec in (centered_pair_means(net), centered_reciprocal_means(net),
@@ -269,3 +275,15 @@ def test_criterion_10_property_suite():
             assert abs(vec.sum()) <= n * 1e-12 * scale
     _report("criterion 10 (property suite)",
             "relabeling, transpose, scaling, determinism, centering on 5 random networks")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: routing depends on scale")
+def test_routing_ignores_scale():
+    """test_effect's branch and verdict are unchanged when criterion 10's
+    networks are scaled by 4."""
+    for seed, net, _ in _criterion_10_networks():
+        scaled = DirectedWeightedNetwork(4.0 * net.weights)
+        for effect in ALL_EFFECTS:
+            a = run_effect_test(net, effect, seed=seed)
+            b = run_effect_test(scaled, effect, seed=seed)
+            assert (b.branch, b.reject) == (a.branch, a.reject), (seed, effect)

@@ -12,6 +12,7 @@ from neteffects import (
 )
 from neteffects import test_effect as run_effect_test
 from neteffects.inference import derive_seed
+from neteffects.simulation import generate
 from .conftest import make_random_net
 
 
@@ -79,6 +80,16 @@ class TestNetworkEffectTest:
                 report = NetworkEffectTest(effect=effect, random_state=s).fit(w).report_
                 assert report == run_effect_test(as_network(w), EffectKind.parse(effect),
                                                  seed=derive_seed(s))
+
+    @pytest.mark.parametrize("params", [
+        dict(effect="eta3", diagnostic_constant=float("nan")),
+        dict(effect="eta2", subsample_exponent=7.0),
+    ])
+    def test_fit_rejects_bad_parameters_whatever_the_branch(self, params):
+        # eta2 takes the complete branch on this network
+        w = generate("a", "normal", 60, 1.0, False, seed=1).weights
+        with pytest.raises(ValueError):
+            NetworkEffectTest(**params).fit(w)
 
     def test_refit_is_deterministic(self):
         w = random_matrix(seed=9)

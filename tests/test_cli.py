@@ -13,6 +13,7 @@ from neteffects import EffectKind, read_edge_list
 from neteffects import test_effect as run_effect_test
 from neteffects.cli import main
 from neteffects.inference import derive_seed
+from neteffects.simulation import generate
 
 
 def write_edges(path, rows):
@@ -45,6 +46,16 @@ def worked_csv(tmp_path):
         ["b", "a", "3.0"], ["b", "c", "4.0"],
         ["c", "a", "5.0"], ["c", "b", "6.0"],
     ])
+    return path
+
+
+@pytest.fixture
+def complete_csv(tmp_path):
+    # a setting-a alternative whose eta2 takes the studentized complete branch
+    w = generate("a", "normal", 60, 1.0, False, seed=1).weights
+    rows = [[f"a{i:02d}", f"a{j:02d}", repr(float(w[i, j]))] for i in range(60) for j in range(60) if i != j]
+    path = tmp_path / "complete.csv"
+    write_edges(path, rows)
     return path
 
 
@@ -139,6 +150,24 @@ class TestCmdTest:
         assert code == 2
         assert out == ""
         assert err == f"error: c_constant must be positive and finite, got {value}\n"
+
+    def test_complete_csv_routes_eta2_to_the_complete_branch(self, complete_csv, capsys):
+        code, out, _ = run(["test", "--input", str(complete_csv), "--effect", "eta2"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"][0]["branch"] == "studentized_complete"
+
+    @pytest.mark.parametrize("args, name", [
+        (["--effect", "eta2", "--lambda", "7"], "subsample exponent"),
+        (["--effect", "eta2", "--lambda", "-1"], "subsample exponent"),
+        (["--effect", "eta2", "--lambda", "nan"], "subsample exponent"),
+        (["--effect", "eta3", "--diagnostic-c", "nan"], "c_constant"),
+        (["--effect", "eta4", "--diagnostic-c", "inf"], "c_constant"),
+    ])
+    def test_bad_parameter_exits_2_whatever_the_branch(self, complete_csv, args, name, capsys):
+        code, out, err = run(["test", "--input", str(complete_csv), *args], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1
 
     def test_output_file(self, random_csv, tmp_path, capsys):
         target = tmp_path / "report.json"

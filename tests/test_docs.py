@@ -1,0 +1,23 @@
+"""The public surface that the README and ``neteffects.__all__`` promise."""
+
+import re
+from pathlib import Path
+
+import neteffects
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run_in_order():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        flags=re.DOTALL | re.MULTILINE)
+    assert blocks
+    namespace = {"__name__": "readme"}
+    for k, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {k}", "exec"), namespace)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in neteffects.__all__ if not hasattr(neteffects, name)]
+    assert missing == []
+    assert len(set(neteffects.__all__)) == len(neteffects.__all__)

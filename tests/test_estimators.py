@@ -61,7 +61,7 @@ class TestCompleteEstimate:
 
     def test_transpose_identities(self):
         net = make_random_net(8, seed=2)
-        flipped = net.transposed()
+        flipped = DirectedWeightedNetwork(net.weights.T)
         assert complete_estimate(flipped, EffectKind.SAME_SENDER).value == pytest.approx(
             complete_estimate(net, EffectKind.SAME_RECEIVER).value, rel=1e-12
         )

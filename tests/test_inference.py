@@ -10,14 +10,13 @@ from neteffects import (
     ZeroVarianceError,
     diagnose_degeneracy,
     local_effects,
-    reduced_test,
 )
 from neteffects import inference
 from neteffects import test_effect as run_effect_test
 from neteffects.inference import derive_seed
 from neteffects.simulation import generate
 from . import oracles
-from .conftest import constant_net, make_random_net
+from .conftest import constant_net, make_random_net, reduced_statistic
 
 DIAGNOSABLE = [EffectKind.RECIPROCITY, EffectKind.SENDER_RECEIVER]
 ALWAYS_REDUCED = [EffectKind.SAME_SENDER, EffectKind.SAME_RECEIVER]
@@ -98,14 +97,17 @@ class TestStudentizedCompleteTest:
 
 
 class TestReducedTest:
+    """The reduced branch, reached through test_effect: directly for the
+    always-degenerate effects, after a degenerate verdict for the others."""
+
     def test_constant_network_raises(self):
         with pytest.raises(ZeroVarianceError):
-            reduced_test(constant_net(8), EffectKind.SAME_SENDER, seed=0)
+            run_effect_test(constant_net(8), EffectKind.SAME_SENDER, seed=0)
 
     def test_report_fields(self):
         net = make_random_net(40, seed=3)
-        report = reduced_test(net, EffectKind.SAME_SENDER, alpha=0.1,
-                              subsample_exponent=1.3, seed=5)
+        report = run_effect_test(net, EffectKind.SAME_SENDER, alpha=0.1,
+                                 subsample_exponent=1.3, seed=5)
         assert report.branch == "reduced"
         assert report.subsample_exponent == 1.3
         assert report.seed == 5
@@ -119,27 +121,73 @@ class TestReducedTest:
         net = make_random_net(30, seed=9)
         sample = sample_quadruples(30, 1.2, seed=4)
         moment = reduced_estimate(net, EffectKind.SENDER_RECEIVER, sample)
-        report = reduced_test(net, EffectKind.SENDER_RECEIVER,
-                              subsample_exponent=1.2, seed=4)
+        report = run_effect_test(net, EffectKind.SENDER_RECEIVER,
+                                 subsample_exponent=1.2, seed=4)
+        assert report.branch == "reduced"
         assert report.statistic == pytest.approx(
             np.sqrt(moment.m) * moment.eta_hat / moment.sigma_hat, rel=1e-14
         )
+        assert reduced_statistic(net, EffectKind.SENDER_RECEIVER, seed=4) == report.statistic
 
     @pytest.mark.parametrize("effect", list(EffectKind))
     def test_scale_invariance(self, effect):
         # all four quadruple kernels are degree-2 homogeneous, so the
-        # studentized statistic ignores a global rescaling
+        # studentized statistic ignores a global rescaling (test_effect's
+        # routing does not yet: ROADMAP item 3)
         net = make_random_net(25, seed=10)
         scaled = DirectedWeightedNetwork(7.5 * net.weights)
-        a = reduced_test(net, effect, seed=2)
-        b = reduced_test(scaled, effect, seed=2)
-        assert b.statistic == pytest.approx(a.statistic, rel=1e-10)
+        a = reduced_statistic(net, effect, seed=2)
+        b = reduced_statistic(scaled, effect, seed=2)
+        assert b == pytest.approx(a, rel=1e-10)
 
     def test_deterministic(self):
         net = make_random_net(30, seed=11)
-        a = reduced_test(net, EffectKind.SAME_RECEIVER, seed=21)
-        b = reduced_test(net, EffectKind.SAME_RECEIVER, seed=21)
+        a = run_effect_test(net, EffectKind.SAME_RECEIVER, seed=21)
+        b = run_effect_test(net, EffectKind.SAME_RECEIVER, seed=21)
         assert a == b
+
+
+class TestParametersCheckedAtEntry:
+    """test_effect checks alpha, lambda and C before any pass over the
+    weights, for every effect, whichever branch the data would pick."""
+
+    # eta2 and eta5 take the complete branch on the first, the reduced on the second
+    NETWORKS = {
+        "complete": lambda: generate("a", "normal", 60, 1.0, False, seed=1),
+        "reduced": lambda: make_random_net(60, seed=0),
+    }
+
+    @pytest.mark.parametrize("routed", list(NETWORKS))
+    def test_networks_take_the_named_branch(self, routed):
+        net = self.NETWORKS[routed]()
+        for effect in DIAGNOSABLE:
+            assert run_effect_test(net, effect).branch == (
+                "studentized_complete" if routed == "complete" else "reduced"
+            )
+
+    @pytest.mark.parametrize("routed", list(NETWORKS))
+    @pytest.mark.parametrize("name, value, message", [
+        ("alpha", 1.5, "alpha"),
+        ("alpha", float("nan"), "alpha"),
+        ("subsample_exponent", 7.0, "subsample exponent"),
+        ("subsample_exponent", -1.0, "subsample exponent"),
+        ("subsample_exponent", float("nan"), "subsample exponent"),
+        ("c_constant", float("nan"), "c_constant"),
+        ("c_constant", float("inf"), "c_constant"),
+        ("c_constant", 0.0, "c_constant"),
+    ])
+    def test_bad_parameter_raises_before_any_pass(self, routed, name, value, message,
+                                                  monkeypatch):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass over the weights ran before the check")
+
+        net = self.NETWORKS[routed]()
+        for attr in ("diagnose_degeneracy", "complete_estimate", "sample_quadruples",
+                     "reduced_estimate"):
+            monkeypatch.setattr(inference, attr, no_pass)
+        for effect in EffectKind:
+            with pytest.raises(ValueError, match=f"^{message} must be"):
+                run_effect_test(net, effect, **{name: value})
 
 
 class TestTestEffectRouting:
@@ -224,7 +272,7 @@ class TestNonFiniteStatistic:
     @pytest.mark.parametrize("effect", ALWAYS_REDUCED)
     def test_reduced_raises_on_infinite_spread(self, effect):
         with pytest.raises(NonFiniteStatisticError, match="kernel spread is inf"):
-            reduced_test(self.overflowing_net(1e80), effect, seed=0)
+            run_effect_test(self.overflowing_net(1e80), effect, seed=0)
 
     def test_local_effects_raise(self):
         with pytest.raises(NonFiniteStatisticError, match="local effect is nan"):

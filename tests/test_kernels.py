@@ -148,7 +148,7 @@ class TestQuadrupleKernel:
 
     def test_transpose_duality_per_tuple(self):
         net = make_random_net(8, seed=4)
-        flipped = net.transposed()
+        flipped = DirectedWeightedNetwork(net.weights.T)
         quads = np.array(list(itertools.combinations(range(8), 4)))
         # same-sender on the transpose equals same-receiver, and the
         # reciprocity / two-path kernels are transpose-invariant

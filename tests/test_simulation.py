@@ -27,7 +27,9 @@ class TestSimulationSpec:
         dict(setting="a", n=50, reps=0),
         dict(setting="a", n=50, reps=10, c_squared=-1.0),
         dict(setting="a", n=50, reps=10, alpha=0.0),
+        dict(setting="a", n=50, reps=10, alpha=float("nan")),
         dict(setting="a", n=50, reps=10, subsample_exponent=2.0),
+        dict(setting="a", n=50, reps=10, subsample_exponent=float("nan")),
         dict(setting="a", n=50, reps=10, diagnostic_constant=float("nan")),
         dict(setting="a", n=50, reps=10, diagnostic_constant=0.0),
     ])
