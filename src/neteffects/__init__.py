@@ -8,7 +8,7 @@ degenerate, and tests it against zero on the appropriate branch
 (studentized complete estimator, or subsampled 4-tuple kernel).
 """
 
-from .api import LocalNetworkEffects, NetworkEffectTest
+from .api import NetworkEffectTest
 from .errors import (
     DuplicateEdgeError,
     InvalidSpecError,
@@ -77,7 +77,6 @@ __all__ = [
     "generate",
     "monte_carlo",
     "NetworkEffectTest",
-    "LocalNetworkEffects",
     "as_network",
     "NetworkEffectsError",
     "DuplicateEdgeError",

@@ -1,6 +1,6 @@
 """Scikit-learn style estimator facade.
 
-These classes follow the sklearn API conventions (constructor stores
+:class:`NetworkEffectTest` follows the sklearn API conventions (constructor stores
 hyperparameters verbatim, ``fit`` consumes a square weight matrix and
 returns ``self``, fitted attributes get a trailing underscore, and
 ``get_params``/``set_params`` support cloning and grid composition)
@@ -11,39 +11,13 @@ from __future__ import annotations
 
 import inspect
 
-import numpy as np
-
 from . import inference
 from .network import EffectKind, as_network
 
-__all__ = ["NetworkEffectTest", "LocalNetworkEffects"]
+__all__ = ["NetworkEffectTest"]
 
 
-class ParamsMixin:
-    """get_params / set_params over the constructor signature."""
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        return self
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
-
-
-class NetworkEffectTest(ParamsMixin):
+class NetworkEffectTest:
     """Test one network effect on a weighted directed adjacency matrix.
 
     Parameters
@@ -116,27 +90,23 @@ class NetworkEffectTest(ParamsMixin):
         self.diagnosis_ = report.diagnosis
         return self
 
+    @classmethod
+    def _param_names(cls) -> list[str]:
+        sig = inspect.signature(cls.__init__)
+        return [name for name in sig.parameters if name != "self"]
 
-class LocalNetworkEffects(ParamsMixin):
-    """Transformer mapping an (n, n) weight matrix to per-node local effects.
+    def get_params(self, deep: bool = True) -> dict:
+        return {name: getattr(self, name) for name in self._param_names()}
 
-    ``transform`` returns an (n, 4) array with columns reciprocity,
-    same-sender, same-receiver, sender-receiver, suitable for plotting or
-    downstream feature use.
-    """
-
-    COLUMNS = tuple(effect.value for effect in EffectKind)
-
-    def __init__(self):
-        pass
-
-    def fit(self, X, y=None):
-        as_network(X)  # validation only; the transform is stateless
+    def set_params(self, **params):
+        valid = set(self._param_names())
+        for name, value in params.items():
+            if name not in valid:
+                raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
+            setattr(self, name, value)
         return self
 
-    def transform(self, X) -> np.ndarray:
-        le = inference.local_effects(as_network(X))
-        return np.column_stack([getattr(le, column) for column in self.COLUMNS])
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
+        return f"{type(self).__name__}({args})"
 
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X).transform(X)

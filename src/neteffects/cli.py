@@ -21,15 +21,8 @@ import time
 
 import numpy as np
 
-from .api import LocalNetworkEffects
 from .errors import NetworkEffectsError
-from .inference import (
-    DegeneracyDiagnosis,
-    TestReport,
-    derive_seed,
-    diagnose_degeneracy,
-    test_effect,
-)
+from .inference import derive_seed, diagnose_degeneracy, local_effects, test_effect
 from .network import EffectKind, read_edge_list
 from .simulation import CONFIGS, SimulationSpec, monte_carlo
 
@@ -94,30 +87,25 @@ def _add_input_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="write the report here instead of stdout")
 
 
-def _jsonable(obj):
-    if isinstance(obj, (TestReport, DegeneracyDiagnosis)):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """What ``json`` cannot encode itself: report dataclasses, effects and numpy values."""
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
     if isinstance(obj, EffectKind):
         return obj.short_name
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    return obj
+    raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
 
 
 def _write_document(results, command_echo: dict, started: float, output: str | None) -> None:
     document = {
         "schema_version": SCHEMA_VERSION,
         "command": command_echo,
-        "results": _jsonable(results),
+        "results": results,
         "timing_seconds": time.perf_counter() - started,
     }
-    text = json.dumps(document, indent=2, allow_nan=False) + "\n"
+    text = json.dumps(document, indent=2, allow_nan=False, default=_json_default) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -162,13 +150,14 @@ def cmd_diagnose(args) -> int:
 
 def cmd_local_effects(args) -> int:
     net = read_edge_list(args.input)
-    table = LocalNetworkEffects().transform(net)
-    labels = net.labels or tuple(str(i) for i in range(net.n))
+    table = local_effects(net)
+    names = [field.name for field in dataclasses.fields(table)]
+    columns = [getattr(table, name).tolist() for name in names]
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:
         writer = csv.writer(out)
-        writer.writerow(["node", *LocalNetworkEffects.COLUMNS])
-        for label, row in zip(labels, table.tolist()):
+        writer.writerow(["node", *names])
+        for label, *row in zip(net.labels, *columns):
             writer.writerow([label, *map(repr, row)])
     finally:
         if args.output:

@@ -60,7 +60,7 @@ class QuadrupleSample:
             raise ValueError(f"tuples must have shape (m, 4), got {t.shape}")
         if t.size and (t.min() < 0 or t.max() >= self.n):
             raise ValueError("tuple indices out of range")
-        if t.size and (np.diff(np.sort(t, axis=1), axis=1) == 0).any():
+        if _repeats_an_index(t).any():
             raise ValueError("each quadruple must have 4 distinct indices")
         t.setflags(write=False)
         object.__setattr__(self, "tuples", t)
@@ -132,12 +132,18 @@ def sample_quadruples(n: int, subsample_exponent: float, seed: int) -> Quadruple
     m = subsample_size(n, subsample_exponent)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     tuples = rng.integers(0, n, size=(m, 4), dtype=np.int64)
-    while True:
-        collided = (np.diff(np.sort(tuples, axis=1), axis=1) == 0).any(axis=1)
-        if not collided.any():
-            break
-        tuples[collided] = rng.integers(0, n, size=(int(collided.sum()), 4), dtype=np.int64)
+    # Only a redrawn row can still collide, so each round checks those alone.
+    redraw = np.flatnonzero(_repeats_an_index(tuples))
+    while redraw.size:
+        tuples[redraw] = rng.integers(0, n, size=(redraw.size, 4), dtype=np.int64)
+        redraw = redraw[_repeats_an_index(tuples[redraw])]
     return QuadrupleSample(tuples=tuples, n=n)
+
+
+def _repeats_an_index(t: np.ndarray) -> np.ndarray:
+    """Per row of an (m, 4) index array, whether two of its entries are equal."""
+    a, b, c, d = t.T
+    return (a == b) | (a == c) | (a == d) | (b == c) | (b == d) | (c == d)
 
 
 def reduced_estimate(

@@ -10,6 +10,7 @@ diagnosable effects, used to exercise the degeneracy diagnostic.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -84,16 +85,16 @@ class SimulationSpec:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.setting not in SETTINGS:
-            raise InvalidSpecError(f"unknown setting {self.setting!r}; expected one of {SETTINGS}")
-        if self.config not in CONFIGS:
-            raise InvalidSpecError(f"unknown config {self.config!r}; expected one of {CONFIGS}")
-        if self.n < 4:
-            raise InvalidSpecError(f"n must be at least 4, got {self.n}")
+        _check_design(self.setting, self.config, self.n)
         if self.reps < 1:
             raise InvalidSpecError(f"reps must be at least 1, got {self.reps}")
         if self.c_squared < 0:
             raise InvalidSpecError(f"c_squared must be nonnegative, got {self.c_squared}")
+        if self.null_case and self.c_squared > 0:
+            raise InvalidSpecError(
+                f"c_squared is {self.c_squared} but null_case=True simulates no signal; "
+                "set null_case=False for the alternative, or c_squared=0"
+            )
         try:
             check_alpha(self.alpha)
             check_subsample_exponent(self.subsample_exponent, "subsample_exponent")
@@ -114,6 +115,16 @@ class MonteCarloSummary:
     branch_counts: dict[str, int]
     zero_variance_count: int = 0
     statistics: tuple[float, ...] | None = None
+
+
+def _check_design(setting: str, config: str, n: int) -> None:
+    """The one check of a generator's setting, latent config and size."""
+    if setting not in SETTINGS:
+        raise InvalidSpecError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
+    if config not in CONFIGS:
+        raise InvalidSpecError(f"unknown config {config!r}; expected one of {CONFIGS}")
+    if n < 4:
+        raise InvalidSpecError(f"n must be at least 4, got {n}")
 
 
 def _draw_latents(config: str, rng: np.random.Generator, n: int, want: str) -> np.ndarray:
@@ -144,12 +155,7 @@ def generate(
     ``config`` argument selects normal or Poisson latents for settings
     a, b, and c only.
     """
-    if setting not in SETTINGS:
-        raise InvalidSpecError(f"unknown setting {setting!r}")
-    if config not in CONFIGS:
-        raise InvalidSpecError(f"unknown config {config!r}")
-    if n < 4:
-        raise InvalidSpecError(f"n must be at least 4, got {n}")
+    _check_design(setting, config, n)
     rng = np.random.default_rng(seed)
     c = np.sqrt(c_squared)
 
@@ -172,10 +178,9 @@ def generate(
         centered = a - shift
         w = scale * np.outer(centered, centered) + eps
     else:
-        x = rng.normal(1.0, 1.0, n)
-        upper = np.triu(rng.normal(1.0, 1.0, (n, n)), 1)
-        gamma = upper + upper.T
-        eps = rng.normal(0.0, 1.0, (n, n))
+        x = _draw_latents("normal", rng, n, "node")
+        gamma = _draw_latents("normal", rng, n, "pair")
+        eps = _draw_latents("normal", rng, n, "noise")
         if setting == "degenerate_sender_receiver":
             w = x[:, None] + gamma + eps
         elif setting == "nondegenerate_sender_receiver":
@@ -212,6 +217,16 @@ def _run_replicate(spec: SimulationSpec, rep: int) -> tuple[bool, str, float] | 
     return report.reject, report.branch, report.statistic
 
 
+_CHUNK = 32  # replicates per task sent to a pool worker
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def monte_carlo(
     spec: SimulationSpec,
     threads: int = 1,
@@ -223,7 +238,9 @@ def monte_carlo(
     Replicates where the studentized statistic was undefined are tallied
     in ``zero_variance_count`` and count as non-rejections (none occur
     under the settings above).  With ``threads`` > 1, replicates run in a
-    process pool; the result is identical to the serial run.
+    process pool of at most ``threads`` workers, no more than the CPUs
+    available or the chunks of replicates; the result is identical to the
+    serial run.
     """
     if threads < 1:
         raise InvalidSpecError(f"threads must be at least 1, got {threads}")
@@ -231,8 +248,10 @@ def monte_carlo(
     if threads == 1:
         outcomes = [_run_replicate(spec, rep) for rep in range(reps)]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_run_replicate, [spec] * reps, range(reps), chunksize=32))
+        # The pool may start every worker at once, so never ask for more than can run.
+        workers = min(threads, _available_cpus(), -(-reps // _CHUNK))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_replicate, [spec] * reps, range(reps), chunksize=_CHUNK))
 
     rejections = 0
     zero_variance = 0

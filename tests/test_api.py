@@ -3,12 +3,10 @@ import pytest
 
 from neteffects import (
     EffectKind,
-    LocalNetworkEffects,
     NetworkEffectTest,
     NonFiniteWeightError,
     SelfLoopError,
     as_network,
-    local_effects,
 )
 from neteffects import test_effect as run_effect_test
 from neteffects.inference import derive_seed
@@ -105,23 +103,3 @@ class TestNetworkEffectTest:
         text = repr(NetworkEffectTest(effect="eta2", alpha=0.1))
         assert "effect='eta2'" in text and "alpha=0.1" in text
 
-
-class TestLocalNetworkEffects:
-    def test_transform_shape_and_columns(self):
-        w = random_matrix(12, seed=2)
-        out = LocalNetworkEffects().fit_transform(w)
-        assert out.shape == (12, 4)
-        table = local_effects(as_network(w))
-        np.testing.assert_array_equal(out[:, 0], table.reciprocity)
-        np.testing.assert_array_equal(out[:, 1], table.same_sender)
-        np.testing.assert_array_equal(out[:, 2], table.same_receiver)
-        np.testing.assert_array_equal(out[:, 3], table.sender_receiver)
-
-    def test_column_names(self):
-        assert LocalNetworkEffects.COLUMNS == (
-            "reciprocity", "same_sender", "same_receiver", "sender_receiver"
-        )
-
-    def test_fit_validates(self):
-        with pytest.raises(SelfLoopError):
-            LocalNetworkEffects().fit(np.ones((4, 4)))

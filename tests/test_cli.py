@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neteffects import EffectKind, read_edge_list
+from neteffects import EffectKind, local_effects, read_edge_list
 from neteffects import test_effect as run_effect_test
 from neteffects.cli import main
 from neteffects.inference import derive_seed
@@ -229,6 +229,18 @@ class TestCmdLocalEffects:
         assert err.startswith("error:") and "float64" in err
         assert not target.exists()
 
+    def test_table_is_local_effects(self, random_csv, capsys):
+        code, out, _ = run(["local-effects", "--input", str(random_csv)], capsys)
+        assert code == 0
+        header, *rows = list(csv.reader(out.splitlines()))
+        net = read_edge_list(random_csv)
+        table = local_effects(net)
+        assert header == ["node", "reciprocity", "same_sender", "same_receiver", "sender_receiver"]
+        assert [row[0] for row in rows] == list(net.labels)
+        for k, name in enumerate(header[1:], start=1):
+            # repr round-trips, so the column holds the exact values
+            assert [float(row[k]) for row in rows] == getattr(table, name).tolist()
+
     def test_constant_all_zeros(self, constant_csv, capsys):
         code, out, _ = run(["local-effects", "--input", str(constant_csv)], capsys)
         assert code == 0
@@ -276,6 +288,13 @@ class TestCmdSimulate:
         doc = json.loads(out)
         assert doc["command"]["null"] is False
         assert doc["results"]["rejection_rate"] > 0.5
+
+    def test_null_with_signal_is_usage_error(self, capsys):
+        code, out, err = run(["simulate", "--setting", "b", "--null", "--c2", "0.5",
+                              "--n", "25", "--reps", "5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: c_squared") and err.count("\n") == 1
 
     def test_zero_reps_is_usage_error(self, capsys):
         code, _, err = run(["simulate", "--setting", "b", "--n", "25",

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neteffects import (
     DirectedWeightedNetwork,
@@ -119,9 +121,24 @@ class TestSampleQuadruples:
 
     def test_quadruple_sample_validation(self):
         with pytest.raises(ValueError):
-            QuadrupleSample(tuples=np.array([[0, 1, 2, 2]]), n=5)
-        with pytest.raises(ValueError):
             QuadrupleSample(tuples=np.array([[0, 1, 2, 9]]), n=5)
+        for a, b in itertools.combinations(range(4), 2):  # a repeat in each pair of columns
+            row = [0, 1, 2, 3]
+            row[b] = row[a]
+            with pytest.raises(ValueError, match="distinct"):
+                QuadrupleSample(tuples=np.array([[4, 5, 6, 7], row]), n=8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(4, 60), exponent=st.floats(1.0, 2.0, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_sort_based_sampler(self, n, exponent, seed):
+        # at n = 4 most rows collide, which forces many redraw rounds
+        expected = oracles.reference_sample_quadruples(n, exponent, seed)
+        assert sample_quadruples(n, exponent, seed).tuples.tobytes() == expected.tobytes()
+
+    def test_matches_the_sort_based_sampler_at_scale(self):
+        expected = oracles.reference_sample_quadruples(1000, 1.8, 5)
+        assert sample_quadruples(1000, 1.8, 5).tuples.tobytes() == expected.tobytes()
 
 
 class TestReducedEstimate:

@@ -135,6 +135,12 @@ class TestReadEdgeList(object):
         # within one record: self-loop before weight before duplicate
         (["a,b,1", "a,a,inf"], SelfLoopError, 3, "self-loop record 'a' -> 'a'"),
         (["a,b,1", "a,b,-inf"], NonFiniteWeightError, 3, "non-finite weight on 'a' -> 'b'"),
+        # a quoted label may span lines: a record is named by its first line
+        (['"a\nb",c,1', "c,c,2"], SelfLoopError, 4, "self-loop record 'c' -> 'c'"),
+        (["a,b,1", '"x\n\ny",b,nan', "b,a,1"], NonFiniteWeightError, 3,
+         "non-finite weight on 'x\\n\\ny' -> 'b'"),
+        (['"a\nb",c,1', "c,d"], ValueError, 4, "expected 3 columns, got 2"),
+        (['"a\nb",c,1', 'c,"d\n",x'], NonFiniteWeightError, 4, "cannot parse weight 'x'"),
     ])
     def test_record_errors_name_their_line(self, tmp_path, rows, error, line, message):
         path = tmp_path / "net.csv"

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ class TestSimulationSpec:
         dict(setting="a", n=50, reps=10, subsample_exponent=float("nan")),
         dict(setting="a", n=50, reps=10, diagnostic_constant=float("nan")),
         dict(setting="a", n=50, reps=10, diagnostic_constant=0.0),
+        dict(setting="b", n=50, reps=10, c_squared=0.5, null_case=True),
     ])
     def test_invalid_specs(self, kwargs):
         with pytest.raises(InvalidSpecError):
@@ -182,6 +185,39 @@ class TestMonteCarlo:
         summary = monte_carlo(spec)
         assert summary.zero_variance_count == 5
         assert summary.rejection_rate == 0.0
+
+    def test_pool_is_bounded_by_cpus_and_chunks(self, monkeypatch):
+        from neteffects import simulation as sim
+
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size and runs the tasks here, starting no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        assert 1 <= sim._available_cpus() <= (os.cpu_count() or 1)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sim, "_available_cpus", lambda: 3)
+        spec = SimulationSpec(setting="b", n=12, reps=40, master_seed=2)
+        serial = monte_carlo(spec, collect_statistics=True)
+        # 40 replicates make 2 chunks of at most 32
+        assert monte_carlo(spec, threads=5000, collect_statistics=True) == serial
+        assert monte_carlo(spec, threads=2, collect_statistics=True) == serial
+        wide = SimulationSpec(setting="b", n=12, reps=100, master_seed=2)
+        monte_carlo(wide, threads=5000)
+        monte_carlo(SimulationSpec(setting="b", n=12, reps=5, master_seed=2), threads=4)
+        assert sizes == [2, 2, 3, 1]
 
     def test_invalid_threads(self):
         spec = SimulationSpec(setting="b", n=25, reps=5)
