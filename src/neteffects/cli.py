@@ -6,8 +6,8 @@ CSV), and ``simulate`` (Monte Carlo rejection rates for the synthetic
 settings).  Reports are JSON documents that echo every parameter needed
 to reproduce them; exit status is 0 on success and 2 on input or
 validation errors, including a statistic that is undefined (constant
-network) or not finite (float64 overflow).  A statistical rejection never
-changes the exit code.
+network) or not finite (float64 overflow), and 1 when the reader of
+standard output has gone.  A statistical rejection never changes it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 import time
 
@@ -115,8 +116,8 @@ def _write_document(results, command_echo: dict, started: float, output: str | N
 
 def cmd_test(args) -> int:
     started = time.perf_counter()
-    net = read_edge_list(args.input)
     seed = derive_seed(args.seed)
+    net = read_edge_list(args.input)
     effects = list(EffectKind) if args.effect == "all" else [EffectKind.parse(args.effect)]
     results = [
         test_effect(net, effect, alpha=args.alpha, subsample_exponent=args.subsample_exponent,
@@ -174,7 +175,7 @@ def cmd_simulate(args) -> int:
         subsample_exponent=args.subsample_exponent,
         diagnostic_constant=args.diagnostic_c, master_seed=args.seed,
     )
-    summary = monte_carlo(spec, threads=args.threads, collect_statistics=bool(args.emit_stats))
+    summary = monte_carlo(spec, threads=args.threads)
     if args.emit_stats:
         with open(args.emit_stats, "w", encoding="utf-8") as fh:
             for value in summary.statistics:
@@ -203,7 +204,13 @@ def main(argv=None) -> int:
     try:
         # numpy's overflow warnings would repeat the typed error that names it
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left; point stdout at devnull so the flush at exit is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:  # NetworkEffectsError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -166,12 +166,13 @@ def test_effect(
     calibrated only under degeneracy.  Both statistics are compared
     against standard normal quantiles (two-sided).
 
-    ``alpha``, ``subsample_exponent`` and ``c_constant`` are checked
-    here, before any pass over the weights, whichever branch runs.
+    ``alpha``, ``subsample_exponent``, ``seed`` and ``c_constant`` are
+    checked here, before any pass over the weights, whichever branch runs.
     """
     net.require_nodes(4, "test_effect")
     check_alpha(alpha)
     check_subsample_exponent(subsample_exponent)
+    check_seed(seed)
     check_c_constant(c_constant)
     diagnosis = diagnose_degeneracy(net, effect, c_constant) if effect.diagnosable else None
     if diagnosis is not None and diagnosis.non_degenerate:
@@ -215,6 +216,7 @@ def derive_seed(seed: int) -> int:
     The first child of ``SeedSequence(seed)``, so that nearby user seeds
     give unrelated quadruple samples.
     """
+    check_seed(seed)
     return int(np.random.SeedSequence(seed).spawn(1)[0].generate_state(1)[0])
 
 
@@ -253,6 +255,12 @@ def check_alpha(alpha: float) -> None:
     """Raise ValueError unless 0 < alpha < 1 (so NaN fails)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Raise ValueError unless seed is a non-negative Python or numpy integer."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
 def check_c_constant(c_constant: float, name: str = "c_constant") -> None:

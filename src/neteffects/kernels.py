@@ -54,14 +54,12 @@ def quadruple_kernel_values(
     # Kernel sums over the 6 pairs or the 4 triples inside each quad.
     kernel_sum = {e: sums.kernel_sum(e) for e in EffectKind}
     pair_sum = sums.reciprocal_sum.sum(axis=1) + sums.out_sq_sum.sum(axis=1)
-    del sums  # five (m, 4) arrays, not needed beside the (m, 4, 4) ssym
+    del sums  # five (m, 4) arrays; kept alive, they would raise the peak memory below
 
-    ssym = s + s.transpose(0, 2, 1)
-    disjoint = (
-        ssym[:, 0, 1] * ssym[:, 2, 3]
-        + ssym[:, 0, 2] * ssym[:, 1, 3]
-        + ssym[:, 0, 3] * ssym[:, 1, 2]
-    ) / 12.0
+    def pair(a, b):  # e[a,b] + e[b,a], one value per quad
+        return s[:, a, b] + s[:, b, a]
+
+    disjoint = (pair(0, 1) * pair(2, 3) + pair(0, 2) * pair(1, 3) + pair(0, 3) * pair(1, 2)) / 12.0
 
     triple_sum = (
         kernel_sum[EffectKind.SAME_SENDER]

@@ -164,7 +164,8 @@ def from_edge_list(
     result does not depend on record order.  Ordered pairs that are not
     listed get weight 0.  Duplicate ordered pairs and self-loops are
     errors rather than being silently merged or dropped: summing
-    duplicates would invisibly change every downstream estimate.
+    duplicates would invisibly change every downstream estimate.  As in
+    :func:`read_edge_list`, an unparseable weight raises as it is read.
 
     Raises
     ------
@@ -175,28 +176,17 @@ def from_edge_list(
         raise TypeError("each record must be a (source, target, weight) triple")
     code: dict[str, int] = {}
     src, dst, wts = [], [], []
-    unparsed = None
     for source, target, weight in rows:
-        src.append(code.setdefault(str(source), len(code)))
-        dst.append(code.setdefault(str(target), len(code)))
         try:
             wts.append(float(weight))
-        except (TypeError, ValueError) as exc:
-            # Records are checked in order, so no later record can matter.
-            wts.append(math.nan)
-            unparsed = exc
-            break
+        except (TypeError, ValueError):
+            raise NonFiniteWeightError(f"cannot parse weight {weight!r}") from None
+        src.append(code.setdefault(str(source), len(code)))
+        dst.append(code.setdefault(str(target), len(code)))
     if node_universe is not None:
         for u in node_universe:
             code.setdefault(str(u), len(code))
-    try:
-        return _from_codes(code, src, dst, wts, lambda k: ("", rows[k][0], rows[k][1]))
-    except NonFiniteWeightError:
-        # The unparseable weight stands in as the last, NaN, weight.  When it
-        # is the first offender, float()'s own error is the one to raise.
-        if unparsed is None or not all(map(math.isfinite, wts[:-1])):
-            raise
-        raise unparsed from None
+    return _from_codes(code, src, dst, wts, lambda k: ("", rows[k][0], rows[k][1]))
 
 
 def _from_codes(code, src, dst, wts, where) -> DirectedWeightedNetwork:
@@ -304,16 +294,16 @@ class NodeSummaries:
 
     @classmethod
     def of(cls, w: np.ndarray) -> "NodeSummaries":
-        """The sums of a (k, k) matrix, or of each matrix in a (..., k, k) stack."""
-        sq = w * w
-        out_sq_sum, in_sq_sum = sq.sum(axis=-1), sq.sum(axis=-2)
-        del sq  # one (k, k) temporary at a time keeps the peak memory down
+        """The sums of a (k, k) matrix, or of each matrix in a (..., k, k) stack.
+
+        Each sum is one reduction over the input, with no temporary of its size.
+        """
         return cls(
             out_sum=w.sum(axis=-1),
             in_sum=w.sum(axis=-2),
-            out_sq_sum=out_sq_sum,
-            in_sq_sum=in_sq_sum,
-            reciprocal_sum=(w * np.swapaxes(w, -1, -2)).sum(axis=-1),
+            out_sq_sum=np.einsum("...ij,...ij->...i", w, w),
+            in_sq_sum=np.einsum("...ij,...ij->...j", w, w),
+            reciprocal_sum=np.einsum("...ij,...ji->...i", w, w),
         )
 
     def motif(self, effect: EffectKind) -> np.ndarray:

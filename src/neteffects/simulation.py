@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidSpecError, ZeroVarianceError
 from .estimators import check_subsample_exponent
-from .inference import check_alpha, check_c_constant, test_effect
+from .inference import check_alpha, check_c_constant, check_seed, test_effect
 from .network import DirectedWeightedNetwork, EffectKind
 
 __all__ = [
@@ -99,6 +99,7 @@ class SimulationSpec:
             check_alpha(self.alpha)
             check_subsample_exponent(self.subsample_exponent, "subsample_exponent")
             check_c_constant(self.diagnostic_constant, "diagnostic_constant")
+            check_seed(self.master_seed, "master_seed")
         except ValueError as exc:
             raise InvalidSpecError(str(exc)) from None
         if self.effect is None:
@@ -114,7 +115,7 @@ class MonteCarloSummary:
     standard_error: float
     branch_counts: dict[str, int]
     zero_variance_count: int = 0
-    statistics: tuple[float, ...] | None = None
+    statistics: tuple[float, ...] = ()
 
 
 def _check_design(setting: str, config: str, n: int) -> None:
@@ -227,20 +228,16 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def monte_carlo(
-    spec: SimulationSpec,
-    threads: int = 1,
-    collect_statistics: bool = False,
-) -> MonteCarloSummary:
+def monte_carlo(spec: SimulationSpec, threads: int = 1) -> MonteCarloSummary:
     """Estimate the rejection rate of the tested effect over ``spec.reps``
     independent replicates.
 
     Replicates where the studentized statistic was undefined are tallied
     in ``zero_variance_count`` and count as non-rejections (none occur
-    under the settings above).  With ``threads`` > 1, replicates run in a
-    process pool of at most ``threads`` workers, no more than the CPUs
-    available or the chunks of replicates; the result is identical to the
-    serial run.
+    under the settings above); the others' statistics are kept in order.
+    With ``threads`` > 1, replicates run in a process pool of at most
+    ``threads`` workers, no more than the CPUs available or the chunks of
+    replicates; the result is identical to the serial run.
     """
     if threads < 1:
         raise InvalidSpecError(f"threads must be at least 1, got {threads}")
@@ -264,8 +261,7 @@ def monte_carlo(
         reject, branch, statistic = outcome
         rejections += int(reject)
         branch_counts[branch] = branch_counts.get(branch, 0) + 1
-        if collect_statistics:
-            statistics.append(statistic)
+        statistics.append(statistic)
     rate = rejections / reps
     return MonteCarloSummary(
         rejection_rate=rate,
@@ -273,5 +269,5 @@ def monte_carlo(
         standard_error=float(np.sqrt(rate * (1.0 - rate) / reps)),
         branch_counts=branch_counts,
         zero_variance_count=zero_variance,
-        statistics=tuple(statistics) if collect_statistics else None,
+        statistics=tuple(statistics),
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,16 @@ def make_random_net(n: int, seed: int, integers: bool = False) -> DirectedWeight
         w = rng.normal(size=(n, n))
     np.fill_diagonal(w, 0.0)
     return DirectedWeightedNetwork(w)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` allocates, as ``tracemalloc`` sees them."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def constant_net(n: int, value: float = 2.0) -> DirectedWeightedNetwork:

@@ -150,10 +150,18 @@ def naive_local_effects(w):
 
 
 def reference_from_edge_list(records, node_universe=None):
-    """Record-by-record network construction: the first offending record raises."""
+    """Record-by-record network construction: an unparseable weight raises
+    first, as in a CSV, then the first offending record."""
     recs = [tuple(r) for r in records]
     if any(len(r) != 3 for r in recs):
         raise TypeError("each record must be a (source, target, weight) triple")
+    parsed = []
+    for source, target, weight in recs:  # every weight parses before any record check
+        try:
+            parsed.append((source, target, float(weight)))
+        except (TypeError, ValueError):
+            raise NonFiniteWeightError(f"cannot parse weight {weight!r}") from None
+    recs = parsed
     labels = {str(source) for source, _, _ in recs} | {str(target) for _, target, _ in recs}
     if node_universe is not None:
         labels |= {str(u) for u in node_universe}
@@ -168,14 +176,13 @@ def reference_from_edge_list(records, node_universe=None):
     for source, target, weight in recs:
         if str(source) == str(target):
             raise SelfLoopError(f"self-loop record {source!r} -> {target!r}")
-        w = float(weight)
-        if not math.isfinite(w):
+        if not math.isfinite(weight):
             raise NonFiniteWeightError(f"non-finite weight on {source!r} -> {target!r}")
         ij = (index[str(source)], index[str(target)])
         if ij in seen:
             raise DuplicateEdgeError(f"duplicate edge {source!r} -> {target!r}")
         seen.add(ij)
-        weights[ij] = w
+        weights[ij] = weight
     return DirectedWeightedNetwork(weights, labels=ordered)
 
 

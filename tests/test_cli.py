@@ -162,6 +162,8 @@ class TestCmdTest:
         (["--effect", "eta2", "--lambda", "nan"], "subsample exponent"),
         (["--effect", "eta3", "--diagnostic-c", "nan"], "c_constant"),
         (["--effect", "eta4", "--diagnostic-c", "inf"], "c_constant"),
+        (["--effect", "eta2", "--seed", "-1"], "seed"),
+        (["--effect", "eta3", "--seed", "-1"], "seed"),
     ])
     def test_bad_parameter_exits_2_whatever_the_branch(self, complete_csv, args, name, capsys):
         code, out, err = run(["test", "--input", str(complete_csv), *args], capsys)
@@ -296,6 +298,13 @@ class TestCmdSimulate:
         assert out == ""
         assert err.startswith("error: c_squared") and err.count("\n") == 1
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run(["simulate", "--setting", "b", "--n", "25", "--reps", "5",
+                              "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: master_seed must be a non-negative integer, got -1\n"
+
     def test_zero_reps_is_usage_error(self, capsys):
         code, _, err = run(["simulate", "--setting", "b", "--n", "25",
                             "--reps", "0"], capsys)
@@ -318,12 +327,31 @@ class TestCmdSimulate:
 class TestModuleEntryPoint:
     """``python -m neteffects.cli`` as a process: its exit status, not main()'s."""
 
-    @staticmethod
-    def run_module(*args):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        return subprocess.run([sys.executable, "-m", "neteffects.cli", *args],
-                              capture_output=True, text=True, env=env, timeout=300)
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+    ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    COMMAND = [sys.executable, "-m", "neteffects.cli"]
+
+    def run_module(self, *args):
+        return subprocess.run([*self.COMMAND, *args], capture_output=True, text=True,
+                              env=self.ENV, timeout=300)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_1_silently(self, random_csv, unbuffered):
+        # The read end closes before the child, still importing, can write.
+        # Buffered, the table would otherwise fail only in the flush at exit.
+        proc = subprocess.Popen([*self.COMMAND, "local-effects", "--input", str(random_csv)],
+                                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env={**self.ENV, "PYTHONUNBUFFERED": unbuffered})
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 1
+        assert err == b""
+
+    def test_output_error_exits_2(self, random_csv, tmp_path):
+        proc = self.run_module("local-effects", "--input", str(random_csv),
+                               "--output", str(tmp_path / "missing" / "local.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_good_input_exits_0(self, random_csv):
         proc = self.run_module("test", "--input", str(random_csv))

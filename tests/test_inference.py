@@ -16,7 +16,7 @@ from neteffects import test_effect as run_effect_test
 from neteffects.inference import derive_seed
 from neteffects.simulation import generate
 from . import oracles
-from .conftest import constant_net, make_random_net, reduced_statistic
+from .conftest import constant_net, make_random_net, reduced_statistic, traced_peak
 
 DIAGNOSABLE = [EffectKind.RECIPROCITY, EffectKind.SENDER_RECEIVER]
 ALWAYS_REDUCED = [EffectKind.SAME_SENDER, EffectKind.SAME_RECEIVER]
@@ -175,6 +175,8 @@ class TestParametersCheckedAtEntry:
         ("c_constant", float("nan"), "c_constant"),
         ("c_constant", float("inf"), "c_constant"),
         ("c_constant", 0.0, "c_constant"),
+        ("seed", -1, "seed"),
+        ("seed", 1.5, "seed"),
     ])
     def test_bad_parameter_raises_before_any_pass(self, routed, name, value, message,
                                                   monkeypatch):
@@ -188,6 +190,12 @@ class TestParametersCheckedAtEntry:
         for effect in EffectKind:
             with pytest.raises(ValueError, match=f"^{message} must be"):
                 run_effect_test(net, effect, **{name: value})
+
+    def test_numpy_integer_seed_is_accepted(self):
+        net = self.NETWORKS["reduced"]()
+        for effect in EffectKind:
+            assert run_effect_test(net, effect, seed=np.int64(3)) == run_effect_test(net, effect, seed=3)
+        assert derive_seed(np.uint32(3)) == derive_seed(3)
 
 
 class TestTestEffectRouting:
@@ -309,6 +317,11 @@ class TestLocalEffects:
         np.testing.assert_allclose(table.same_receiver, same_r, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(table.sender_receiver, send_r, rtol=1e-12, atol=1e-12)
 
+    def test_one_matrix_temporary(self):
+        # the centred copy is 8 MB at n = 1000; a second n x n array would make 16
+        net = make_random_net(1000, seed=2)
+        assert traced_peak(local_effects, net) < 12e6
+
 
 class TestNullDistribution:
     """The routed pipeline statistic should be close to standard normal
@@ -330,7 +343,7 @@ class TestNullDistribution:
 
         spec = SimulationSpec(setting=setting, n=100, reps=2000, null_case=True,
                               subsample_exponent=1.0, master_seed=101)
-        summary = monte_carlo(spec, collect_statistics=True)
+        summary = monte_carlo(spec)
         stats = np.sort(np.asarray(summary.statistics))
         m = len(stats)
         grid = ndtr(stats)

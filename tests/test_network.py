@@ -22,7 +22,7 @@ from neteffects import (
     row_col_summaries,
 )
 from . import oracles
-from .conftest import constant_net, make_random_net
+from .conftest import constant_net, make_random_net, traced_peak
 
 
 class TestDirectedWeightedNetwork:
@@ -71,6 +71,24 @@ class TestFromEdgeList:
     def test_non_finite_weight_is_error(self):
         with pytest.raises(NonFiniteWeightError):
             from_edge_list([("a", "b", float("nan"))])
+
+    @pytest.mark.parametrize("records", [
+        [("a", "a", 1), ("a", "b", "x")],
+        [("a", "b", "1"), ("b", "a", "")],
+    ])
+    def test_unparseable_weight_raises_as_in_a_csv(self, records, tmp_path):
+        path = tmp_path / "edges.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("source", "target", "weight"), *records])
+        message = f"cannot parse weight {records[-1][2]!r}"
+        with pytest.raises(NonFiniteWeightError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+            read_edge_list(path)
+        with pytest.raises(NonFiniteWeightError, match=f"^{re.escape(message)}$"):
+            from_edge_list(records)
+
+    def test_weight_of_another_type_is_unparseable(self):
+        with pytest.raises(NonFiniteWeightError, match="^cannot parse weight None$"):
+            from_edge_list([("a", "b", None)])
 
     def test_zero_fill_with_universe(self):
         net = from_edge_list([("a", "b", 1.0)], node_universe={"a", "b", "c"})
@@ -283,6 +301,10 @@ class TestRowColSummaries:
             one = DirectedWeightedNetwork(stack[k]).summaries
             for f in dataclasses.fields(NodeSummaries):
                 assert np.array_equal(getattr(sums, f.name)[k], getattr(one, f.name)), f.name
+
+    def test_no_temporary_of_the_input_size(self):
+        w = make_random_net(1000, seed=6).weights  # 8 MB
+        assert traced_peak(NodeSummaries.of, w) < 1e6
 
     @pytest.mark.parametrize("effect", list(EffectKind))
     def test_motif_sums_match_enumeration(self, effect):

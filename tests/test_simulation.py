@@ -35,6 +35,8 @@ class TestSimulationSpec:
         dict(setting="a", n=50, reps=10, diagnostic_constant=float("nan")),
         dict(setting="a", n=50, reps=10, diagnostic_constant=0.0),
         dict(setting="b", n=50, reps=10, c_squared=0.5, null_case=True),
+        dict(setting="a", n=50, reps=10, master_seed=-1),
+        dict(setting="a", n=50, reps=10, master_seed=2.0),
     ])
     def test_invalid_specs(self, kwargs):
         with pytest.raises(InvalidSpecError):
@@ -163,15 +165,14 @@ class TestMonteCarlo:
 
     def test_collect_statistics(self):
         spec = SimulationSpec(setting="b", n=25, reps=15, master_seed=1)
-        summary = monte_carlo(spec, collect_statistics=True)
+        summary = monte_carlo(spec)
         assert len(summary.statistics) == 15
         assert all(np.isfinite(s) for s in summary.statistics)
-        assert monte_carlo(spec).statistics is None
 
     def test_threads_do_not_change_results(self):
         spec = SimulationSpec(setting="a", n=25, reps=20, master_seed=6)
-        serial = monte_carlo(spec, threads=1, collect_statistics=True)
-        parallel = monte_carlo(spec, threads=2, collect_statistics=True)
+        serial = monte_carlo(spec, threads=1)
+        parallel = monte_carlo(spec, threads=2)
         assert serial == parallel
 
     def test_zero_variance_tally(self, monkeypatch):
@@ -210,10 +211,10 @@ class TestMonteCarlo:
         monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sim, "_available_cpus", lambda: 3)
         spec = SimulationSpec(setting="b", n=12, reps=40, master_seed=2)
-        serial = monte_carlo(spec, collect_statistics=True)
+        serial = monte_carlo(spec)
         # 40 replicates make 2 chunks of at most 32
-        assert monte_carlo(spec, threads=5000, collect_statistics=True) == serial
-        assert monte_carlo(spec, threads=2, collect_statistics=True) == serial
+        assert monte_carlo(spec, threads=5000) == serial
+        assert monte_carlo(spec, threads=2) == serial
         wide = SimulationSpec(setting="b", n=12, reps=100, master_seed=2)
         monte_carlo(wide, threads=5000)
         monte_carlo(SimulationSpec(setting="b", n=12, reps=5, master_seed=2), threads=4)
