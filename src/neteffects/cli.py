@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -22,7 +23,6 @@ import time
 
 import numpy as np
 
-from .errors import NetworkEffectsError
 from .inference import derive_seed, diagnose_degeneracy, local_effects, test_effect
 from .network import EffectKind, read_edge_list
 from .simulation import CONFIGS, SimulationSpec, monte_carlo
@@ -50,9 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="degeneracy threshold constant (default 1)")
     p_test.set_defaults(func=cmd_test)
 
-    p_diag = sub.add_parser("diagnose", help="degeneracy diagnosis for eta2 or eta5")
+    p_diag = sub.add_parser("diagnose", help="degeneracy diagnosis for one effect")
     _add_input_output(p_diag)
-    p_diag.add_argument("--effect", choices=["eta2", "eta5", "eta3", "eta4"], required=True)
+    p_diag.add_argument("--effect", required=True,
+                        choices=[effect.short_name for effect in EffectKind if effect.diagnosable])
     p_diag.add_argument("--diagnostic-c", type=float, default=1.0)
     p_diag.set_defaults(func=cmd_diagnose)
 
@@ -99,6 +100,15 @@ def _json_default(obj):
     raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
 
 
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when there is none."""
+    if path:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_document(results, command_echo: dict, started: float, output: str | None) -> None:
     document = {
         "schema_version": SCHEMA_VERSION,
@@ -106,12 +116,7 @@ def _write_document(results, command_echo: dict, started: float, output: str | N
         "results": results,
         "timing_seconds": time.perf_counter() - started,
     }
-    text = json.dumps(document, indent=2, allow_nan=False, default=_json_default) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(document, indent=2, allow_nan=False, default=_json_default) + "\n", output)
 
 
 def cmd_test(args) -> int:
@@ -135,14 +140,8 @@ def cmd_test(args) -> int:
 
 def cmd_diagnose(args) -> int:
     started = time.perf_counter()
-    effect = EffectKind.parse(args.effect)
-    if not effect.diagnosable:
-        raise NetworkEffectsError(
-            f"{args.effect} has no degeneracy diagnostic: its estimator is always "
-            "degenerate under the null, so its test always uses the subsampled branch"
-        )
     net = read_edge_list(args.input)
-    diagnosis = diagnose_degeneracy(net, effect, c_constant=args.diagnostic_c)
+    diagnosis = diagnose_degeneracy(net, EffectKind.parse(args.effect), c_constant=args.diagnostic_c)
     echo = {"command": "diagnose", "input": args.input, "effect": args.effect,
             "diagnostic_c": args.diagnostic_c}
     _write_document(diagnosis, echo, started, args.output)
@@ -152,48 +151,35 @@ def cmd_diagnose(args) -> int:
 def cmd_local_effects(args) -> int:
     net = read_edge_list(args.input)
     table = local_effects(net)
-    names = [field.name for field in dataclasses.fields(table)]
-    columns = [getattr(table, name).tolist() for name in names]
-    out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["node", *names])
-        for label, *row in zip(net.labels, *columns):
-            writer.writerow([label, *map(repr, row)])
-    finally:
-        if args.output:
-            out.close()
+    columns = {f.name: getattr(table, f.name).tolist() for f in dataclasses.fields(table)}
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["node", *columns])
+    writer.writerows([label, *map(repr, row)] for label, *row in zip(net.labels, *columns.values()))
+    _write(text.getvalue(), args.output)
     return 0
 
 
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
-    null_case = args.null_case if args.null_case is not None else (args.c2 <= 0.0)
     spec = SimulationSpec(
         setting=args.setting, config=args.config, n=args.n, c_squared=args.c2,
-        null_case=null_case, reps=args.reps, alpha=args.alpha,
+        null_case=args.null_case, reps=args.reps, alpha=args.alpha,
         subsample_exponent=args.subsample_exponent,
         diagnostic_constant=args.diagnostic_c, master_seed=args.seed,
     )
     summary = monte_carlo(spec, threads=args.threads)
     if args.emit_stats:
-        with open(args.emit_stats, "w", encoding="utf-8") as fh:
-            for value in summary.statistics:
-                fh.write(f"{value!r}\n")
+        _write("".join(f"{value!r}\n" for value in summary.statistics), args.emit_stats)
     echo = {
         "command": "simulate", "setting": args.setting, "config": args.config,
-        "n": args.n, "c2": args.c2, "null": null_case, "reps": args.reps,
+        "n": args.n, "c2": args.c2, "null": spec.null_case, "reps": args.reps,
         "lambda": args.subsample_exponent, "alpha": args.alpha, "seed": args.seed,
         "diagnostic_c": args.diagnostic_c, "threads": args.threads,
         "effect": spec.effect.short_name,
     }
-    result = {
-        "rejection_rate": summary.rejection_rate,
-        "reps": summary.reps,
-        "standard_error": summary.standard_error,
-        "branch_counts": summary.branch_counts,
-        "zero_variance_count": summary.zero_variance_count,
-    }
+    result = dataclasses.asdict(summary)
+    del result["statistics"]  # the --emit-stats file's content, not the report's
     _write_document(result, echo, started, args.output)
     return 0
 
@@ -202,6 +188,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in filter(None, (args.output, vars(args).get("emit_stats"))):
+            # An output that cannot be written fails before any work, creating nothing.
+            folder = os.path.dirname(os.path.abspath(path))
+            target = path if os.path.exists(path) else folder
+            if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+                raise OSError(f"cannot write {path!r}")
         # numpy's overflow warnings would repeat the typed error that names it
         with np.errstate(over="ignore", invalid="ignore"):
             code = args.func(args)

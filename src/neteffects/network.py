@@ -165,18 +165,19 @@ def from_edge_list(
     listed get weight 0.  Duplicate ordered pairs and self-loops are
     errors rather than being silently merged or dropped: summing
     duplicates would invisibly change every downstream estimate.  As in
-    :func:`read_edge_list`, an unparseable weight raises as it is read.
+    :func:`read_edge_list`, a malformed record or weight raises as it is read.
 
     Raises
     ------
     DuplicateEdgeError, SelfLoopError, NonFiniteWeightError, ValueError, TypeError
     """
     rows = [tuple(r) for r in records]
-    if any(len(r) != 3 for r in rows):
-        raise TypeError("each record must be a (source, target, weight) triple")
     code: dict[str, int] = {}
     src, dst, wts = [], [], []
-    for source, target, weight in rows:
+    for row in rows:
+        if len(row) != 3:
+            raise TypeError("each record must be a (source, target, weight) triple")
+        source, target, weight = row
         try:
             wts.append(float(weight))
         except (TypeError, ValueError):

@@ -11,6 +11,7 @@ diagnosable effects, used to exercise the degeneracy diagnostic.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -41,17 +42,6 @@ __all__ = [
 #   nondegenerate_sender_receiver:  e = X_i (X_j - 1/2) + eps
 #   degenerate_reciprocity:         e = gamma_{ij} + eps
 #   nondegenerate_reciprocity:      e = X_i - X_j + sqrt(2) gamma_{ij} + eps
-SETTINGS = (
-    "a",
-    "b",
-    "c",
-    "degenerate_sender_receiver",
-    "nondegenerate_sender_receiver",
-    "degenerate_reciprocity",
-    "nondegenerate_reciprocity",
-)
-CONFIGS = ("normal", "poisson")
-
 _DEFAULT_EFFECT = {
     "a": EffectKind.RECIPROCITY,
     "b": EffectKind.SAME_SENDER,
@@ -61,6 +51,8 @@ _DEFAULT_EFFECT = {
     "degenerate_reciprocity": EffectKind.RECIPROCITY,
     "nondegenerate_reciprocity": EffectKind.RECIPROCITY,
 }
+SETTINGS = tuple(_DEFAULT_EFFECT)
+CONFIGS = ("normal", "poisson")
 
 
 def default_effect(setting: str) -> EffectKind:
@@ -77,7 +69,7 @@ class SimulationSpec:
     reps: int
     config: str = "normal"
     c_squared: float = 0.0
-    null_case: bool = True
+    null_case: bool | None = None  # None: the null exactly when c_squared is 0
     effect: EffectKind | None = None
     alpha: float = 0.05
     subsample_exponent: float = 1.2
@@ -90,6 +82,8 @@ class SimulationSpec:
             raise InvalidSpecError(f"reps must be at least 1, got {self.reps}")
         if self.c_squared < 0:
             raise InvalidSpecError(f"c_squared must be nonnegative, got {self.c_squared}")
+        if self.null_case is None:
+            object.__setattr__(self, "null_case", self.c_squared == 0)
         if self.null_case and self.c_squared > 0:
             raise InvalidSpecError(
                 f"c_squared is {self.c_squared} but null_case=True simulates no signal; "
@@ -250,24 +244,13 @@ def monte_carlo(spec: SimulationSpec, threads: int = 1) -> MonteCarloSummary:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_replicate, [spec] * reps, range(reps), chunksize=_CHUNK))
 
-    rejections = 0
-    zero_variance = 0
-    branch_counts: dict[str, int] = {}
-    statistics: list[float] = []
-    for outcome in outcomes:
-        if outcome is None:
-            zero_variance += 1
-            continue
-        reject, branch, statistic = outcome
-        rejections += int(reject)
-        branch_counts[branch] = branch_counts.get(branch, 0) + 1
-        statistics.append(statistic)
-    rate = rejections / reps
+    kept = [outcome for outcome in outcomes if outcome is not None]
+    rate = sum(int(reject) for reject, _, _ in kept) / reps
     return MonteCarloSummary(
         rejection_rate=rate,
         reps=reps,
         standard_error=float(np.sqrt(rate * (1.0 - rate) / reps)),
-        branch_counts=branch_counts,
-        zero_variance_count=zero_variance,
-        statistics=tuple(statistics),
+        branch_counts=dict(Counter(branch for _, branch, _ in kept)),
+        zero_variance_count=reps - len(kept),
+        statistics=tuple(statistic for _, _, statistic in kept),
     )

@@ -150,13 +150,14 @@ def naive_local_effects(w):
 
 
 def reference_from_edge_list(records, node_universe=None):
-    """Record-by-record network construction: an unparseable weight raises
-    first, as in a CSV, then the first offending record."""
-    recs = [tuple(r) for r in records]
-    if any(len(r) != 3 for r in recs):
-        raise TypeError("each record must be a (source, target, weight) triple")
+    """Record-by-record network construction: a record that is not a triple
+    or has an unparseable weight raises first, as in a CSV, then the first
+    offending record."""
     parsed = []
-    for source, target, weight in recs:  # every weight parses before any record check
+    for record in map(tuple, records):  # shape, then weight, record by record, as a CSV reads
+        if len(record) != 3:
+            raise TypeError("each record must be a (source, target, weight) triple")
+        source, target, weight = record
         try:
             parsed.append((source, target, float(weight)))
         except (TypeError, ValueError):

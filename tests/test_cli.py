@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,9 +12,10 @@ import pytest
 
 from neteffects import EffectKind, local_effects, read_edge_list
 from neteffects import test_effect as run_effect_test
+from neteffects import cli
 from neteffects.cli import main
 from neteffects.inference import derive_seed
-from neteffects.simulation import generate
+from neteffects.simulation import MonteCarloSummary, generate
 
 
 def write_edges(path, rows):
@@ -203,11 +205,12 @@ class TestCmdDiagnose:
         assert out == ""
         assert err.startswith("error:") and "float64" in err
 
-    def test_eta3_is_usage_error(self, random_csv, capsys):
-        code, _, err = run(["diagnose", "--input", str(random_csv),
-                            "--effect", "eta3"], capsys)
-        assert code == 2
-        assert "always" in err and "degenerate" in err
+    @pytest.mark.parametrize("effect", ["eta3", "eta4"])
+    def test_undiagnosable_effect_rejected_by_parser(self, random_csv, effect, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "--input", str(random_csv), "--effect", effect])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCmdLocalEffects:
@@ -283,6 +286,12 @@ class TestCmdSimulate:
         assert len(lines) == 40
         assert all(np.isfinite(float(x)) for x in lines)
 
+    def test_results_are_the_summary_without_statistics(self, capsys):
+        code, out, _ = run(["simulate", "--setting", "b", "--n", "20", "--reps", "5"], capsys)
+        assert code == 0
+        fields = [f.name for f in dataclasses.fields(MonteCarloSummary) if f.name != "statistics"]
+        assert list(json.loads(out)["results"]) == fields
+
     def test_alt_implied_by_c2(self, capsys):
         code, out, _ = run(["simulate", "--setting", "b", "--n", "25", "--c2", "5",
                             "--reps", "20", "--lambda", "1.2", "--seed", "1"], capsys)
@@ -322,6 +331,50 @@ class TestCmdSimulate:
         _, out1, _ = run(base, capsys)
         _, out2, _ = run(base + ["--threads", "2"], capsys)
         assert json.loads(out1)["results"] == json.loads(out2)["results"]
+
+
+class TestOutputCheckedFirst:
+    """An output path that cannot be written fails before the input is read
+    or any replicate runs, and no file is left behind."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+        monkeypatch.setattr(cli, "read_edge_list", refuse)
+        monkeypatch.setattr(cli, "monte_carlo", refuse)
+
+    @pytest.mark.parametrize("args", [
+        ["test", "--output", "{missing}"],
+        ["diagnose", "--effect", "eta5", "--output", "{missing}"],
+        ["local-effects", "--output", "{missing}"],
+        ["simulate", "--setting", "b", "--n", "25", "--emit-stats", "{missing}"],
+        ["simulate", "--setting", "b", "--n", "25", "--output", "{missing}"],
+        ["test", "--output", "{folder}"],
+        ["test", "--output", "{under_file}"],
+    ], ids=["test", "diagnose", "local-effects", "simulate-emit-stats", "simulate", "test-folder",
+            "test-under-file"])
+    def test_unwritable_output_exits_2_before_any_work(self, tmp_path, args, capsys):
+        (tmp_path / "plain.txt").write_text("")
+        paths = {"missing": str(tmp_path / "missing" / "out.txt"), "folder": str(tmp_path),
+                 "under_file": str(tmp_path / "plain.txt" / "out.txt")}
+        argv = [arg.format(**paths) for arg in args]
+        if argv[0] != "simulate":
+            argv += ["--input", str(tmp_path / "edges.csv")]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+
+def test_failed_run_leaves_an_existing_output_untouched(constant_csv, tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("earlier report\n")
+    code, _, _ = run(["test", "--input", str(constant_csv), "--effect", "eta3",
+                      "--output", str(target)], capsys)
+    assert code == 2
+    assert target.read_text() == "earlier report\n"
 
 
 class TestModuleEntryPoint:

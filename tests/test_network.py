@@ -86,6 +86,17 @@ class TestFromEdgeList:
         with pytest.raises(NonFiniteWeightError, match=f"^{re.escape(message)}$"):
             from_edge_list(records)
 
+    def test_record_shape_is_checked_as_it_is_read(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("source", "target", "weight"), ("a", "b", "x"), ("a", "b")])
+        with pytest.raises(NonFiniteWeightError, match=f"^{re.escape(f'{path}:2: ')}cannot parse weight 'x'$"):
+            read_edge_list(path)
+        with pytest.raises(NonFiniteWeightError, match="^cannot parse weight 'x'$"):
+            from_edge_list([("a", "b", "x"), ("a", "b")])
+        with pytest.raises(TypeError, match="triple"):
+            from_edge_list([("a", "b"), ("a", "b", "x")])
+
     def test_weight_of_another_type_is_unparseable(self):
         with pytest.raises(NonFiniteWeightError, match="^cannot parse weight None$"):
             from_edge_list([("a", "b", None)])

@@ -22,6 +22,11 @@ class TestSimulationSpec:
         assert default_effect("a") is EffectKind.RECIPROCITY
         assert default_effect("c") is EffectKind.SENDER_RECEIVER
 
+    def test_null_case_defaults_to_no_signal(self):
+        assert SimulationSpec(setting="b", n=25, reps=5).null_case is True
+        assert SimulationSpec(setting="b", n=25, reps=5, c_squared=0.5).null_case is False
+        assert SimulationSpec(setting="b", n=25, reps=5, c_squared=0.5, null_case=False).null_case is False
+
     @pytest.mark.parametrize("kwargs", [
         dict(setting="z", n=50, reps=10),
         dict(setting="a", n=50, reps=10, config="uniform"),
