@@ -71,10 +71,9 @@ class NetworkEffectTest:
     def fit(self, X, y=None):
         """Run the degeneracy-aware test pipeline on weight matrix X."""
         net = as_network(X)
-        effect = self.effect if isinstance(self.effect, EffectKind) else EffectKind.parse(self.effect)
         report = inference.test_effect(
             net,
-            effect,
+            EffectKind.parse(self.effect),
             alpha=self.alpha,
             subsample_exponent=self.subsample_exponent,
             seed=inference.derive_seed(self.random_state),

@@ -148,10 +148,9 @@ def _repeats_an_index(t: np.ndarray) -> np.ndarray:
 
 def reduced_estimate(
     net: DirectedWeightedNetwork,
-    effect: EffectKind,
     sample: QuadrupleSample,
-) -> ReducedMoment:
-    """Mean and spread of the 4-tuple kernel over a quadruple sample.
+) -> dict[EffectKind, ReducedMoment]:
+    """Each effect's mean and spread of the 4-tuple kernel over a quadruple sample, one gather.
 
     Zero spread is legal here (e.g. a constant network makes every kernel
     value identical); the test layer is responsible for rejecting it.
@@ -159,10 +158,10 @@ def reduced_estimate(
     net.require_nodes(4, "reduced_estimate")
     if sample.n != net.n:
         raise ValueError(f"sample drawn for n={sample.n} but network has n={net.n}")
-    values = quadruple_kernel_values(net, sample.tuples, effect)
-    eta = float(values.mean())
-    sigma = float(np.sqrt(np.mean((values - eta) ** 2)))
-    return ReducedMoment(eta_hat=eta, sigma_hat=sigma, m=sample.m)
+    values = quadruple_kernel_values(net, sample.tuples)
+    rows = np.array(list(values.values()))  # (4, m): two reductions for the four effects
+    return {effect: ReducedMoment(eta_hat=eta, sigma_hat=sigma, m=sample.m) for effect, eta, sigma
+            in zip(values, rows.mean(axis=1).tolist(), rows.std(axis=1).tolist())}
 
 
 def centered_pair_means(net: DirectedWeightedNetwork) -> np.ndarray:

@@ -14,6 +14,7 @@ verdict, so both are reached only through :func:`test_effect`.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,8 +179,7 @@ def test_effect(
     if diagnosis is not None and diagnosis.non_degenerate:
         return _studentized(net, complete_estimate(net, effect), alpha, BRANCH_COMPLETE,
                             net.n, math.sqrt(diagnosis.xi_squared), diagnosis=diagnosis)
-    sample = sample_quadruples(net.n, subsample_exponent, seed)
-    moment = reduced_estimate(net, effect, sample)
+    moment = _reduced_moments(net, subsample_exponent, seed)[effect]
     _require_finite(moment.sigma_hat, "kernel spread", effect)
     if moment.sigma_hat == 0.0:
         raise ZeroVarianceError(
@@ -189,6 +189,20 @@ def test_effect(
     estimate = EffectEstimate(effect=effect, value=moment.eta_hat, method="reduced")
     return _studentized(net, estimate, alpha, BRANCH_REDUCED, moment.m, moment.sigma_hat,
                         subsample_exponent=subsample_exponent, seed=seed, diagnosis=diagnosis)
+
+
+_LAST_REDUCED = weakref.WeakKeyDictionary()  # network -> ((exponent, seed), moments)
+
+
+def _reduced_moments(net: DirectedWeightedNetwork, subsample_exponent: float, seed: int) -> dict:
+    """Every effect's kernel moments on the sample for (subsample_exponent, seed), kept while
+    ``net`` lives so its effects at one key share one draw; a thread race only repeats work."""
+    key = (subsample_exponent, seed)
+    last = _LAST_REDUCED.get(net)
+    if last is None or last[0] != key:
+        last = key, reduced_estimate(net, sample_quadruples(net.n, subsample_exponent, seed))
+        _LAST_REDUCED[net] = last
+    return last[1]
 
 
 def _studentized(net, estimate: EffectEstimate, alpha: float, branch: str,

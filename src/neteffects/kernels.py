@@ -9,7 +9,8 @@ down the correction term below.  The test suite checks it, and checks
 this vectorized form against a loop-by-loop reference kernel.
 
 The within-quad node sums and motif closed forms are those of the complete
-estimators: :class:`NodeSummaries`, applied to the stack of sub-matrices.
+estimators: :class:`NodeSummaries`, applied to the stack of sub-matrices,
+which one gather serves to all four effects.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ __all__ = ["quadruple_kernel_values"]
 def quadruple_kernel_values(
     net: DirectedWeightedNetwork,
     quads: np.ndarray,
-    effect: EffectKind,
-) -> np.ndarray:
-    """The 4-tuple kernel on each row of an (m, 4) array of index quadruples.
+) -> dict[EffectKind, np.ndarray]:
+    """Each effect's 4-tuple kernel on each row of an (m, 4) array of index
+    quadruples: one (m,) array per :class:`EffectKind`.
 
     For reciprocity the kernel is the mean reciprocal product e[a,b] e[b,a]
     over the 6 pairs in the quad; for the other effects it is the mean of
@@ -42,9 +43,9 @@ def quadruple_kernel_values(
     where P sums e[a,b] e[b,a] + e[a,b]^2 over the 12 ordered pairs and B
     sums same-sender + same-receiver + 2 * two-path over the 4 triples.
 
-    Gathers the (m, 4, 4) stack of induced sub-matrices once and reduces
-    it with within-quad node sums, making the cost O(m) with small
-    constants.
+    Gathers the (m, 4, 4) stack of induced sub-matrices once, for all four
+    effects, and reduces it with within-quad node sums, making the cost
+    O(m) with small constants.
     """
     w = net.weights
     n = net.n
@@ -74,5 +75,4 @@ def quadruple_kernel_values(
     )
 
     # mean over the C(4, k) k-subsets of the quad, k the effect's arity
-    base = kernel_sum[effect] / math.comb(4, effect.arity)
-    return base - disjoint + correction
+    return {e: kernel_sum[e] / math.comb(4, e.arity) - disjoint + correction for e in EffectKind}

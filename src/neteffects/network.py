@@ -53,10 +53,10 @@ class EffectKind(enum.Enum):
     SENDER_RECEIVER = "sender_receiver"
 
     @classmethod
-    def parse(cls, name: str) -> "EffectKind":
-        """Accept canonical names or the CLI short forms eta2..eta5."""
+    def parse(cls, name: "str | EffectKind") -> "EffectKind":
+        """Accept a member, canonical names or the CLI short forms eta2..eta5."""
         aliases = {short: effect for effect, short in _SHORT_NAMES.items()}
-        key = name.strip().lower()
+        key = str(getattr(name, "value", name)).strip().lower()  # a member by its value
         if key in aliases:
             return aliases[key]
         try:

@@ -70,18 +70,16 @@ class SimulationSpec:
     config: str = "normal"
     c_squared: float = 0.0
     null_case: bool | None = None  # None: the null exactly when c_squared is 0
-    effect: EffectKind | None = None
+    effect: EffectKind | str | None = None  # None: the setting's default_effect
     alpha: float = 0.05
     subsample_exponent: float = 1.2
     diagnostic_constant: float = 1.0
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_design(self.setting, self.config, self.n)
+        _check_design(self.setting, self.config, self.n, self.c_squared)
         if self.reps < 1:
             raise InvalidSpecError(f"reps must be at least 1, got {self.reps}")
-        if self.c_squared < 0:
-            raise InvalidSpecError(f"c_squared must be nonnegative, got {self.c_squared}")
         if self.null_case is None:
             object.__setattr__(self, "null_case", self.c_squared == 0)
         if self.null_case and self.c_squared > 0:
@@ -94,10 +92,10 @@ class SimulationSpec:
             check_subsample_exponent(self.subsample_exponent, "subsample_exponent")
             check_c_constant(self.diagnostic_constant, "diagnostic_constant")
             check_seed(self.master_seed, "master_seed")
+            effect = default_effect(self.setting) if self.effect is None else EffectKind.parse(self.effect)
         except ValueError as exc:
             raise InvalidSpecError(str(exc)) from None
-        if self.effect is None:
-            object.__setattr__(self, "effect", default_effect(self.setting))
+        object.__setattr__(self, "effect", effect)
 
 
 @dataclass(frozen=True)
@@ -112,14 +110,16 @@ class MonteCarloSummary:
     statistics: tuple[float, ...] = ()
 
 
-def _check_design(setting: str, config: str, n: int) -> None:
-    """The one check of a generator's setting, latent config and size."""
+def _check_design(setting: str, config: str, n: int, c_squared: float) -> None:
+    """The one check of a generator's setting, latent config, size and signal."""
     if setting not in SETTINGS:
         raise InvalidSpecError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
     if config not in CONFIGS:
         raise InvalidSpecError(f"unknown config {config!r}; expected one of {CONFIGS}")
     if n < 4:
         raise InvalidSpecError(f"n must be at least 4, got {n}")
+    if not 0.0 <= c_squared < np.inf:
+        raise InvalidSpecError(f"c_squared must be finite and nonnegative, got {c_squared}")
 
 
 def _draw_latents(config: str, rng: np.random.Generator, n: int, want: str) -> np.ndarray:
@@ -150,7 +150,7 @@ def generate(
     ``config`` argument selects normal or Poisson latents for settings
     a, b, and c only.
     """
-    _check_design(setting, config, n)
+    _check_design(setting, config, n, c_squared)
     rng = np.random.default_rng(seed)
     c = np.sqrt(c_squared)
 

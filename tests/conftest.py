@@ -51,5 +51,5 @@ def reduced_statistic(net: DirectedWeightedNetwork, effect, seed: int,
     """sqrt(m) * mean / spread of the quadruple kernel: the reduced branch's
     statistic, computed whatever branch test_effect would pick."""
     sample = sample_quadruples(net.n, subsample_exponent, seed)
-    moment = reduced_estimate(net, effect, sample)
+    moment = reduced_estimate(net, sample)[effect]
     return math.sqrt(moment.m) * moment.eta_hat / moment.sigma_hat

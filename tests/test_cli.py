@@ -307,6 +307,14 @@ class TestCmdSimulate:
         assert out == ""
         assert err.startswith("error: c_squared") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("c2", ["inf", "nan"])
+    def test_non_finite_c2_is_usage_error(self, c2, capsys):
+        code, out, err = run(["simulate", "--setting", "c", "--n", "20", "--reps", "3",
+                              "--c2", c2, "--alt"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: c_squared must be finite and nonnegative, got {c2}\n"
+
     def test_negative_seed_is_usage_error(self, capsys):
         code, out, err = run(["simulate", "--setting", "b", "--n", "25", "--reps", "5",
                               "--seed", "-1"], capsys)

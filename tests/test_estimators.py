@@ -145,7 +145,7 @@ class TestReducedEstimate:
     def test_constant_network(self):
         net = constant_net(8, 2.0)
         sample = sample_quadruples(8, 1.2, seed=0)
-        moment = reduced_estimate(net, EffectKind.SAME_SENDER, sample)
+        moment = reduced_estimate(net, sample)[EffectKind.SAME_SENDER]
         assert moment.eta_hat == pytest.approx(0.0, abs=1e-12)
         assert moment.sigma_hat == pytest.approx(0.0, abs=1e-12)
 
@@ -155,7 +155,7 @@ class TestReducedEstimate:
         net = make_random_net(n, seed=13)
         all_quads = np.array(list(itertools.combinations(range(n), 4)))
         sample = QuadrupleSample(tuples=all_quads, n=n)
-        moment = reduced_estimate(net, effect, sample)
+        moment = reduced_estimate(net, sample)[effect]
         assert moment.eta_hat == pytest.approx(
             complete_estimate(net, effect).value, rel=1e-11, abs=1e-13
         )
@@ -165,7 +165,7 @@ class TestReducedEstimate:
         net = make_random_net(50, seed=3)
         sample = sample_quadruples(50, 1.6, seed=11)
         for effect in ALL_EFFECTS:
-            moment = reduced_estimate(net, effect, sample)
+            moment = reduced_estimate(net, sample)[effect]
             se = moment.sigma_hat / np.sqrt(moment.m)
             complete = complete_estimate(net, effect).value
             assert abs(moment.eta_hat - complete) < 5 * se
@@ -174,7 +174,7 @@ class TestReducedEstimate:
         net = make_random_net(6, seed=0)
         sample = sample_quadruples(8, 1.0, seed=0)
         with pytest.raises(ValueError):
-            reduced_estimate(net, EffectKind.RECIPROCITY, sample)
+            reduced_estimate(net, sample)[EffectKind.RECIPROCITY]
 
 
 class TestCenteredMeans:

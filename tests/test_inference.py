@@ -1,3 +1,9 @@
+import gc
+import sys
+import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -11,7 +17,7 @@ from neteffects import (
     diagnose_degeneracy,
     local_effects,
 )
-from neteffects import inference
+from neteffects import estimators, inference
 from neteffects import test_effect as run_effect_test
 from neteffects.inference import derive_seed
 from neteffects.simulation import generate
@@ -120,7 +126,7 @@ class TestReducedTest:
 
         net = make_random_net(30, seed=9)
         sample = sample_quadruples(30, 1.2, seed=4)
-        moment = reduced_estimate(net, EffectKind.SENDER_RECEIVER, sample)
+        moment = reduced_estimate(net, sample)[EffectKind.SENDER_RECEIVER]
         report = run_effect_test(net, EffectKind.SENDER_RECEIVER,
                                  subsample_exponent=1.2, seed=4)
         assert report.branch == "reduced"
@@ -145,6 +151,86 @@ class TestReducedTest:
         a = run_effect_test(net, EffectKind.SAME_RECEIVER, seed=21)
         b = run_effect_test(net, EffectKind.SAME_RECEIVER, seed=21)
         assert a == b
+
+
+class TestSharedReducedSample:
+    """The effects tested on one network at one (subsample_exponent, seed)
+    share one quadruple draw and one kernel gather, and every report equals
+    the one a fresh network gives."""
+
+    KEYS = [(1.2, 0), (1.2, 7), (1.5, 0), (1.5, 7)]
+
+    @staticmethod
+    def counted(monkeypatch, module, attr, calls):
+        original = getattr(module, attr)
+
+        def counting(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counting)
+
+    def test_one_draw_and_one_gather_per_key(self, monkeypatch):
+        calls = {"sample_quadruples": 0, "quadruple_kernel_values": 0}
+        self.counted(monkeypatch, inference, "sample_quadruples", calls)
+        self.counted(monkeypatch, estimators, "quadruple_kernel_values", calls)
+        net = make_random_net(60, seed=0)  # every effect takes the reduced branch
+        for seed, expected in ((3, 1), (4, 2)):
+            reports = [run_effect_test(net, effect, seed=seed) for effect in EffectKind]
+            assert [r.branch for r in reports] == ["reduced"] * 4
+            assert calls == {"sample_quadruples": expected, "quadruple_kernel_values": expected}
+
+    @pytest.mark.parametrize("routed", ["complete", "reduced"])
+    @pytest.mark.parametrize("order", ["forward", "reversed", "interleaved"])
+    def test_reports_equal_those_of_a_fresh_network(self, routed, order):
+        w = TestParametersCheckedAtEntry.NETWORKS[routed]().weights
+        effects = list(EffectKind)
+        if order == "interleaved":  # the key changes at every call
+            calls = [(effect, key) for effect in effects for key in self.KEYS]
+        else:
+            effects = effects if order == "forward" else effects[::-1]
+            calls = [(effect, key) for key in self.KEYS for effect in effects]
+        net = DirectedWeightedNetwork(w)
+        for effect, (lam, seed) in calls:
+            shared = run_effect_test(net, effect, subsample_exponent=lam, seed=seed)
+            fresh = run_effect_test(DirectedWeightedNetwork(w), effect,
+                                    subsample_exponent=lam, seed=seed)
+            assert shared == fresh, (effect, lam, seed)
+
+    def test_threads_sharing_a_network(self):
+        # Small samples keep each call short, so the two threads often store
+        # and read the shared entry within microseconds of each other.
+        w = make_random_net(60, seed=1).weights
+        jobs = [(effect, seed) for effect in EffectKind for seed in (0, 1, 2)] * 100
+        expected = {job: run_effect_test(DirectedWeightedNetwork(w), job[0], seed=job[1])
+                    for job in set(jobs)}
+        net = DirectedWeightedNetwork(w)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between almost any two bytecodes
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                got = list(pool.map(lambda job: run_effect_test(net, job[0], seed=job[1]), jobs,
+                                    timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [expected[job] for job in jobs]
+
+    def test_nothing_outlives_the_network_and_no_sample_is_kept(self):
+        net = make_random_net(1000, seed=2)
+        net.summaries  # the network's own cache, built before tracing starts
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for effect in EffectKind:
+                run_effect_test(net, effect, subsample_exponent=1.8, seed=5)
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert kept < 1e6  # the sample alone is 8 MB
+        ref = weakref.ref(net)
+        del net
+        gc.collect()
+        assert ref() is None
 
 
 class TestParametersCheckedAtEntry:

@@ -142,7 +142,7 @@ class TestQuadrupleKernel:
     def test_vectorized_matches_scalar(self, effect):
         net = make_random_net(9, seed=23)
         quads = np.array(list(itertools.combinations(range(9), 4)))
-        vec = quadruple_kernel_values(net, quads, effect)
+        vec = quadruple_kernel_values(net, quads)[effect]
         scalar = [quadruple_kernel(effect, net.weights, tuple(q), 9) for q in quads]
         np.testing.assert_allclose(vec, scalar, rtol=1e-12, atol=1e-14)
 
@@ -153,14 +153,14 @@ class TestQuadrupleKernel:
         # same-sender on the transpose equals same-receiver, and the
         # reciprocity / two-path kernels are transpose-invariant
         np.testing.assert_allclose(
-            quadruple_kernel_values(flipped, quads, EffectKind.SAME_SENDER),
-            quadruple_kernel_values(net, quads, EffectKind.SAME_RECEIVER),
+            quadruple_kernel_values(flipped, quads)[EffectKind.SAME_SENDER],
+            quadruple_kernel_values(net, quads)[EffectKind.SAME_RECEIVER],
             rtol=1e-12, atol=1e-14,
         )
         for effect in (EffectKind.RECIPROCITY, EffectKind.SENDER_RECEIVER):
             np.testing.assert_allclose(
-                quadruple_kernel_values(flipped, quads, effect),
-                quadruple_kernel_values(net, quads, effect),
+                quadruple_kernel_values(flipped, quads)[effect],
+                quadruple_kernel_values(net, quads)[effect],
                 rtol=1e-12, atol=1e-14,
             )
 
@@ -170,7 +170,7 @@ class TestQuadrupleKernel:
         scaled = DirectedWeightedNetwork(3.0 * net.weights)
         quads = np.array(list(itertools.combinations(range(7), 4)))
         np.testing.assert_allclose(
-            quadruple_kernel_values(scaled, quads, effect),
-            9.0 * quadruple_kernel_values(net, quads, effect),
+            quadruple_kernel_values(scaled, quads)[effect],
+            9.0 * quadruple_kernel_values(net, quads)[effect],
             rtol=1e-12, atol=1e-14,
         )

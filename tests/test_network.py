@@ -343,9 +343,18 @@ class TestEffectKind:
         assert EffectKind.parse("eta5") is EffectKind.SENDER_RECEIVER
         assert EffectKind.parse("same_sender") is EffectKind.SAME_SENDER
 
+    def test_parse_member(self):
+        for effect in EffectKind:
+            assert EffectKind.parse(effect) is effect
+
     def test_parse_unknown(self):
         with pytest.raises(ValueError):
             EffectKind.parse("eta7")
+
+    @pytest.mark.parametrize("name", [3, None])
+    def test_parse_other_types_as_unknown_names(self, name):
+        with pytest.raises(ValueError, match="^unknown effect"):
+            EffectKind.parse(name)
 
     def test_short_names_round_trip(self):
         for effect in EffectKind:

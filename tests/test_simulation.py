@@ -22,6 +22,14 @@ class TestSimulationSpec:
         assert default_effect("a") is EffectKind.RECIPROCITY
         assert default_effect("c") is EffectKind.SENDER_RECEIVER
 
+    def test_effect_by_member_or_name(self):
+        spec = SimulationSpec(setting="b", n=20, reps=3, effect="eta3")
+        assert spec.effect is EffectKind.SAME_SENDER
+        assert SimulationSpec(setting="b", n=20, reps=3, effect="eta2").effect is EffectKind.RECIPROCITY
+        # a name runs, and runs as its member does
+        member = SimulationSpec(setting="b", n=20, reps=3, effect=EffectKind.SAME_SENDER)
+        assert repr(monte_carlo(spec)) == repr(monte_carlo(member))
+
     def test_null_case_defaults_to_no_signal(self):
         assert SimulationSpec(setting="b", n=25, reps=5).null_case is True
         assert SimulationSpec(setting="b", n=25, reps=5, c_squared=0.5).null_case is False
@@ -33,6 +41,11 @@ class TestSimulationSpec:
         dict(setting="a", n=3, reps=10),
         dict(setting="a", n=50, reps=0),
         dict(setting="a", n=50, reps=10, c_squared=-1.0),
+        dict(setting="b", n=20, reps=3, c_squared=float("nan")),
+        dict(setting="b", n=20, reps=3, c_squared=float("inf")),
+        dict(setting="b", n=20, reps=3, c_squared=float("inf"), null_case=False),
+        dict(setting="b", n=20, reps=3, effect="eta9"),
+        dict(setting="b", n=20, reps=3, effect=3),
         dict(setting="a", n=50, reps=10, alpha=0.0),
         dict(setting="a", n=50, reps=10, alpha=float("nan")),
         dict(setting="a", n=50, reps=10, subsample_exponent=2.0),
@@ -49,6 +62,11 @@ class TestSimulationSpec:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("c_squared", [float("inf"), float("nan"), -1.0])
+    def test_signal_outside_its_range_is_rejected(self, c_squared):
+        with pytest.raises(InvalidSpecError, match="^c_squared must be finite and nonnegative"):
+            generate("b", "normal", 20, c_squared, False, 0)
+
     def test_deterministic_given_seed(self):
         a = generate("a", "normal", 20, 0.5, False, seed=42)
         b = generate("a", "normal", 20, 0.5, False, seed=42)
