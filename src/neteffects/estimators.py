@@ -32,6 +32,8 @@ __all__ = [
     "projection_variance",
 ]
 
+KERNEL_BLOCK = 32_768  # quadruples whose sub-matrices reduced_estimate gathers at a time
+
 
 @dataclass(frozen=True)
 class EffectEstimate:
@@ -150,7 +152,10 @@ def reduced_estimate(
     net: DirectedWeightedNetwork,
     sample: QuadrupleSample,
 ) -> dict[EffectKind, ReducedMoment]:
-    """Each effect's mean and spread of the 4-tuple kernel over a quadruple sample, one gather.
+    """Each effect's mean and spread of the 4-tuple kernel over a quadruple sample.
+
+    The kernel runs on ``KERNEL_BLOCK`` quadruples at a time, so beside the
+    (4, m) kernel values only one block's gather and sums are alive.
 
     Zero spread is legal here (e.g. a constant network makes every kernel
     value identical); the test layer is responsible for rejecting it.
@@ -158,10 +163,12 @@ def reduced_estimate(
     net.require_nodes(4, "reduced_estimate")
     if sample.n != net.n:
         raise ValueError(f"sample drawn for n={sample.n} but network has n={net.n}")
-    values = quadruple_kernel_values(net, sample.tuples)
-    rows = np.array(list(values.values()))  # (4, m): two reductions for the four effects
+    rows = np.empty((len(EffectKind), sample.m))  # two reductions for the four effects
+    for s in range(0, sample.m, KERNEL_BLOCK):
+        block = quadruple_kernel_values(net, sample.tuples[s:s + KERNEL_BLOCK])
+        rows[:, s:s + KERNEL_BLOCK] = list(block.values())
     return {effect: ReducedMoment(eta_hat=eta, sigma_hat=sigma, m=sample.m) for effect, eta, sigma
-            in zip(values, rows.mean(axis=1).tolist(), rows.std(axis=1).tolist())}
+            in zip(EffectKind, rows.mean(axis=1).tolist(), rows.std(axis=1).tolist())}
 
 
 def centered_pair_means(net: DirectedWeightedNetwork) -> np.ndarray:

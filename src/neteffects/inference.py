@@ -47,6 +47,8 @@ MIN_P_VALUE = 1e-300
 BRANCH_REDUCED = "reduced"
 BRANCH_COMPLETE = "studentized_complete"
 
+LOCAL_EFFECTS_BLOCK = 32  # rows of the centred weights that local_effects holds at a time
+
 
 @dataclass(frozen=True)
 class DegeneracyDiagnosis:
@@ -245,16 +247,29 @@ def local_effects(net: DirectedWeightedNetwork) -> LocalEffects:
     * sender-receiver:  sum_{j != k} d[j,i] d[i,k] / ((n-1)(n-2))
 
     with j, k ranging over ordered pairs of nodes distinct from i.  All
-    four reduce to centered row/column sums, O(n) per node.
+    four reduce to centered row/column sums, O(n) per node, taken from
+    ``LOCAL_EFFECTS_BLOCK`` rows and columns of d at a time.
 
     Raises NonFiniteStatisticError when products of the weights overflow.
     """
     net.require_nodes(3, "local_effects")
-    n = net.n
-    mu = mean_edge(net)
-    d = net.weights - mu
-    np.fill_diagonal(d, 0.0)
-    sums = NodeSummaries.of(d)
+    n, w, mu = net.n, net.weights, mean_edge(net)
+    # NodeSummaries.of(d) bit for bit: a block's transposed columns sum row
+    # after row, as the columns of d do; a one-row block is contiguous in both
+    # orders and numpy would sum it pairwise, so a one-row tail joins the block
+    # before it.  Each block is freed before the next, so two are alive, not four.
+    sums = NodeSummaries(*np.empty((5, n)))
+    stops = [*range(LOCAL_EFFECTS_BLOCK, n - 1, LOCAL_EFFECTS_BLOCK), n]
+    for s, e in zip([0, *stops], stops):
+        rows, cols = w[s:e] - mu, w[:, s:e].T - mu
+        k = np.arange(e - s)
+        rows[k, s + k] = cols[k, s + k] = 0.0
+        sums.out_sum[s:e] = rows.sum(axis=-1)
+        sums.in_sum[s:e] = cols.sum(axis=-1)
+        sums.out_sq_sum[s:e] = np.einsum("ij,ij->i", rows, rows)
+        sums.in_sq_sum[s:e] = np.einsum("ij,ij->i", cols, cols)
+        sums.reciprocal_sum[s:e] = np.einsum("ij,ij->i", rows, cols)
+        del rows, cols
     columns = {}
     for effect in EffectKind:
         # ordered (arity - 1)-tuples of the other n - 1 nodes
@@ -272,8 +287,8 @@ def check_alpha(alpha: float) -> None:
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
-    """Raise ValueError unless seed is a non-negative Python or numpy integer."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    """Raise ValueError unless seed is a non-negative Python or numpy integer, not a bool."""
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
         raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
 

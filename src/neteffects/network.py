@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -111,6 +111,7 @@ class DirectedWeightedNetwork:
 
     weights: np.ndarray
     labels: tuple[str, ...] | None = None
+    weight_sum: float = field(init=False, repr=False)  # of all weights, taken at construction
 
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=np.float64, copy=True, order="C")
@@ -119,7 +120,10 @@ class DirectedWeightedNetwork:
         n = w.shape[0]
         if n < 2:
             raise TooFewNodesError(f"need at least 2 nodes, got {n}")
-        if not np.isfinite(w).all():
+        # NaN or infinite entries make the sum non-finite, as can an overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(w.sum())
+        if not math.isfinite(total) and not np.isfinite(w).all():
             raise NonFiniteWeightError("weight matrix contains NaN or infinite entries")
         if np.any(np.diagonal(w) != 0.0):
             raise SelfLoopError("diagonal entries must be exactly zero (no self-loops)")
@@ -127,6 +131,7 @@ class DirectedWeightedNetwork:
             raise ValueError(f"got {len(self.labels)} labels for {n} nodes")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weight_sum", total)
 
     @property
     def n(self) -> int:
@@ -137,11 +142,6 @@ class DirectedWeightedNetwork:
     def summaries(self) -> "NodeSummaries":
         """Per-node sums, computed once per instance (weights are frozen)."""
         return NodeSummaries.of(self.weights)
-
-    @cached_property
-    def weight_sum(self) -> float:
-        """Sum of all weights, computed once per instance."""
-        return float(self.weights.sum())
 
     def require_nodes(self, minimum: int, what: str = "this operation") -> None:
         if self.n < minimum:

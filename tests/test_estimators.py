@@ -17,6 +17,7 @@ from neteffects import (
     reduced_estimate,
     sample_quadruples,
 )
+from neteffects import estimators
 from neteffects.estimators import (
     centered_pair_means,
     centered_reciprocal_means,
@@ -24,7 +25,7 @@ from neteffects.estimators import (
     subsample_size,
 )
 from . import oracles
-from .conftest import constant_net, make_random_net
+from .conftest import constant_net, make_random_net, traced_peak
 
 ALL_EFFECTS = list(EffectKind)
 
@@ -169,6 +170,30 @@ class TestReducedEstimate:
             se = moment.sigma_hat / np.sqrt(moment.m)
             complete = complete_estimate(net, effect).value
             assert abs(moment.eta_hat - complete) < 5 * se
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_blocks_keep_every_bit(self, n, monkeypatch):
+        net = make_random_net(n, seed=n)
+        sample = sample_quadruples(n, 1.5, seed=2)
+        whole = repr(reduced_estimate(net, sample))
+        calls = []
+        kernel = estimators.quadruple_kernel_values
+
+        def counted(net, quads):
+            calls.append(len(quads))
+            return kernel(net, quads)
+
+        monkeypatch.setattr(estimators, "KERNEL_BLOCK", 7)
+        monkeypatch.setattr(estimators, "quadruple_kernel_values", counted)
+        assert repr(reduced_estimate(net, sample)) == whole
+        assert len(calls) == -(-sample.m // 7) and max(calls) == 7 and sum(calls) == sample.m
+
+    def test_one_block_of_temporaries(self):
+        # at m = 251,189 the kernel values take 8 MB; one gather of every
+        # quadruple at once peaked at 88 MB
+        net = make_random_net(1000, seed=1)
+        sample = sample_quadruples(1000, 1.8, seed=3)
+        assert traced_peak(reduced_estimate, net, sample) < 25e6
 
     def test_sample_network_size_mismatch(self):
         net = make_random_net(6, seed=0)

@@ -1,4 +1,5 @@
 import gc
+import math
 import sys
 import tracemalloc
 import weakref
@@ -11,6 +12,7 @@ from scipy.special import ndtr
 from neteffects import (
     DirectedWeightedNetwork,
     EffectKind,
+    NodeSummaries,
     NonFiniteStatisticError,
     UnsupportedEffectError,
     ZeroVarianceError,
@@ -263,6 +265,9 @@ class TestParametersCheckedAtEntry:
         ("c_constant", 0.0, "c_constant"),
         ("seed", -1, "seed"),
         ("seed", 1.5, "seed"),
+        ("seed", True, "seed"),
+        ("seed", False, "seed"),
+        ("seed", np.True_, "seed"),
     ])
     def test_bad_parameter_raises_before_any_pass(self, routed, name, value, message,
                                                   monkeypatch):
@@ -381,6 +386,11 @@ class TestDeriveSeed:
         assert derive_seed(seed) == derived
         assert type(derive_seed(seed)) is int
 
+    @pytest.mark.parametrize("seed", [True, False, np.True_])
+    def test_a_bool_is_not_a_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            derive_seed(seed)
+
 
 class TestLocalEffects:
     def test_constant_network_all_zero(self):
@@ -404,9 +414,28 @@ class TestLocalEffects:
         np.testing.assert_allclose(table.sender_receiver, send_r, rtol=1e-12, atol=1e-12)
 
     def test_one_matrix_temporary(self):
-        # the centred copy is 8 MB at n = 1000; a second n x n array would make 16
+        # the sums stream in blocks of rows: a centred copy alone would be 8 MB at n = 1000
         net = make_random_net(1000, seed=2)
-        assert traced_peak(local_effects, net) < 12e6
+        assert traced_peak(local_effects, net) < 2e6
+
+    # n below one block of inference.LOCAL_EFFECTS_BLOCK = 32 rows, and n = 0, 1
+    # and -1 mod 32: a one-row tail block is summed by another numpy path
+    # unless it joins the block before it
+    @pytest.mark.parametrize("n", [3, 27, 64, 65, 95, 1025])
+    def test_bit_identical_to_the_sums_of_the_centred_copy(self, n):
+        base = make_random_net(n, seed=n).weights
+        for scale in (1.0, 1e-3, 1e5):
+            for offset in (0.0, 1e3, 1e8):
+                w = base * scale + offset
+                np.fill_diagonal(w, 0.0)
+                net = DirectedWeightedNetwork(w)
+                d = net.weights - estimators.mean_edge(net)
+                np.fill_diagonal(d, 0.0)
+                sums = NodeSummaries.of(d)
+                table = local_effects(net)
+                for effect in EffectKind:
+                    expected = sums.motif(effect) / math.perm(n - 1, effect.arity - 1)
+                    assert np.array_equal(getattr(table, effect.value), expected), (scale, offset, effect)
 
 
 class TestNullDistribution:

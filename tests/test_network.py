@@ -40,6 +40,23 @@ class TestDirectedWeightedNetwork:
         with pytest.raises(NonFiniteWeightError):
             DirectedWeightedNetwork(w)
 
+    @pytest.mark.parametrize("pair", [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (np.inf, -np.inf)])
+    def test_non_finite_entries_raise_one_error(self, pair):
+        w = np.zeros((3, 3))
+        w[0, 1], w[1, 0] = pair
+        with pytest.raises(NonFiniteWeightError, match="^weight matrix contains NaN or infinite entries$"):
+            DirectedWeightedNetwork(w)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_finite_weights_whose_sum_overflows_build(self):
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = 1e308
+        assert DirectedWeightedNetwork(w).weight_sum == np.inf
+
+    def test_construction_holds_only_the_copy(self):
+        w = make_random_net(1000, seed=4).weights  # the copy is 8 MB
+        assert traced_peak(DirectedWeightedNetwork, w) < 8.5e6
+
     def test_rejects_tiny_and_nonsquare(self):
         with pytest.raises(TooFewNodesError):
             DirectedWeightedNetwork(np.zeros((1, 1)))

@@ -55,6 +55,8 @@ class TestSimulationSpec:
         dict(setting="b", n=50, reps=10, c_squared=0.5, null_case=True),
         dict(setting="a", n=50, reps=10, master_seed=-1),
         dict(setting="a", n=50, reps=10, master_seed=2.0),
+        dict(setting="a", n=20, reps=3, master_seed=True),
+        dict(setting="a", n=20, reps=3, master_seed=False),
     ])
     def test_invalid_specs(self, kwargs):
         with pytest.raises(InvalidSpecError):
