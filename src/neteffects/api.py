@@ -73,7 +73,7 @@ class NetworkEffectTest:
         net = as_network(X)
         report = inference.test_effect(
             net,
-            EffectKind.parse(self.effect),
+            self.effect,
             alpha=self.alpha,
             subsample_exponent=self.subsample_exponent,
             seed=inference.derive_seed(self.random_state),

@@ -123,7 +123,7 @@ def cmd_test(args) -> int:
     started = time.perf_counter()
     seed = derive_seed(args.seed)
     net = read_edge_list(args.input)
-    effects = list(EffectKind) if args.effect == "all" else [EffectKind.parse(args.effect)]
+    effects = list(EffectKind) if args.effect == "all" else [args.effect]
     results = [
         test_effect(net, effect, alpha=args.alpha, subsample_exponent=args.subsample_exponent,
                     seed=seed, c_constant=args.diagnostic_c)
@@ -141,7 +141,7 @@ def cmd_test(args) -> int:
 def cmd_diagnose(args) -> int:
     started = time.perf_counter()
     net = read_edge_list(args.input)
-    diagnosis = diagnose_degeneracy(net, EffectKind.parse(args.effect), c_constant=args.diagnostic_c)
+    diagnosis = diagnose_degeneracy(net, args.effect, c_constant=args.diagnostic_c)
     echo = {"command": "diagnose", "input": args.input, "effect": args.effect,
             "diagnostic_c": args.diagnostic_c}
     _write_document(diagnosis, echo, started, args.output)

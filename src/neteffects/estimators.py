@@ -26,9 +26,7 @@ __all__ = [
     "complete_estimate",
     "sample_quadruples",
     "reduced_estimate",
-    "centered_pair_means",
-    "centered_reciprocal_means",
-    "centered_two_path_means",
+    "node_projection",
     "projection_variance",
 ]
 
@@ -167,77 +165,63 @@ def reduced_estimate(
     for s in range(0, sample.m, KERNEL_BLOCK):
         block = quadruple_kernel_values(net, sample.tuples[s:s + KERNEL_BLOCK])
         rows[:, s:s + KERNEL_BLOCK] = list(block.values())
-    return {effect: ReducedMoment(eta_hat=eta, sigma_hat=sigma, m=sample.m) for effect, eta, sigma
-            in zip(EffectKind, rows.mean(axis=1).tolist(), rows.std(axis=1).tolist())}
+    eta = rows.mean(axis=1)
+    # numpy.std's own steps, run in place: the same bits with no second (4, m) array
+    rows -= eta[:, None]
+    np.multiply(rows, rows, out=rows)
+    sigma = np.sqrt(rows.mean(axis=1))
+    return {effect: ReducedMoment(eta_hat=mean, sigma_hat=spread, m=sample.m)
+            for effect, mean, spread in zip(EffectKind, eta.tolist(), sigma.tolist())}
 
 
-def centered_pair_means(net: DirectedWeightedNetwork) -> np.ndarray:
-    """Per-node mean of (e[i,j] + e[j,i]) / 2 over j, centered globally.
+def node_projection(net: DirectedWeightedNetwork, effect: EffectKind) -> np.ndarray:
+    """Per-node leading (Hoeffding) projection of the complete estimator.
 
-    The vector sums to zero up to rounding.
-    """
-    n = net.n
-    s = row_col_summaries(net)
-    per_node = (s.out_sum + s.in_sum) / (2.0 * (n - 1))
-    return per_node - mean_edge(net)
-
-
-def centered_reciprocal_means(net: DirectedWeightedNetwork) -> np.ndarray:
-    """Per-node mean of e[i,j] e[j,i] over j, centered globally."""
-    n = net.n
-    s = row_col_summaries(net)
-    per_node = s.reciprocal_sum / (n - 1)
-    return per_node - s.reciprocal_sum.sum() / (n * (n - 1))
-
-
-def centered_two_path_means(net: DirectedWeightedNetwork) -> np.ndarray:
-    """Per-node mean of the two-path kernel over triples containing the node.
-
-    The sum of the kernel over triples containing i has the O(n) closed
-    form
+    Node i gets k * motif_i - 4 * mean_edge * pair_i, with k the effect's
+    arity (the projection of an order-k U-statistic carries the factor
+    k), pair_i the node's mean of (e[i,j] + e[j,i]) / 2 over j, and
+    motif_i its mean reciprocal product (reciprocity) or two-path kernel
+    (sender-receiver) over the pairs or triples containing it; each mean
+    is centred by its grand mean, so the vector sums to zero up to
+    rounding.  The two-path kernel summed over the triples containing i
+    has the O(n) closed form
 
         [ c_i r_i - t_i + sum_b e[i,b] (r_b - e[b,i])
           + sum_b e[b,i] (c_b - e[i,b]) ] / 6,
 
     splitting the two-paths by whether i is the middle, first, or last
-    node; the total cost is O(n^2).  The result is centered by the global
-    triple mean and sums to zero up to rounding.
-    """
-    net.require_nodes(3, "centered_two_path_means")
-    n = net.n
-    w = net.weights
-    s = row_col_summaries(net)
-    r, c, t = s.out_sum, s.in_sum, s.reciprocal_sum
-    per_node_sum = (c * r + w @ r + w.T @ c - 3.0 * t) / 6.0
-    total = s.kernel_sum(EffectKind.SENDER_RECEIVER)
-    return per_node_sum / math.comb(n - 1, 2) - total / math.comb(n, 3)
+    node; the total cost is O(n^2).
 
-
-def projection_variance(net: DirectedWeightedNetwork, effect: EffectKind) -> float:
-    """Estimated variance of the leading per-node projection of an estimator.
-
-    It is the mean over nodes of (k * motif centering - 4 * mean_edge *
-    pair centering)^2, with k the effect's arity (the Hoeffding projection
-    of an order-k U-statistic carries the factor k) and the motif
-    centering the two-path one for sender-receiver and the reciprocal one
-    for reciprocity.  A value of zero against a diverging threshold
-    signals degeneracy, in which case the complete estimator must not be
-    studentized by this quantity.
-
-    No such diagnostic exists for the effects that are not
+    No projection is formed for the effects that are not
     :attr:`EffectKind.diagnosable`, whose tests always run on the
     subsampled branch.
     """
-    net.require_nodes(3, "projection_variance")
+    net.require_nodes(3, "node_projection")
     if not effect.diagnosable:
         raise UnsupportedEffectError(
             f"no degeneracy diagnostic for {effect.value}: its test is always subsampled"
         )
-    g_pair = centered_pair_means(net)
+    n = net.n
+    s = row_col_summaries(net)
+    r, c, t = s.out_sum, s.in_sum, s.reciprocal_sum
     mu = mean_edge(net)
-    motif = (
-        centered_two_path_means(net) if effect is EffectKind.SENDER_RECEIVER
-        else centered_reciprocal_means(net)
-    )
-    g = effect.arity * motif - 4.0 * mu * g_pair
+    pair = (r + c) / (2.0 * (n - 1)) - mu
+    if effect is EffectKind.SENDER_RECEIVER:
+        w = net.weights
+        per_node_sum = (c * r + w @ r + w.T @ c - 3.0 * t) / 6.0
+        motif = per_node_sum / math.comb(n - 1, 2) - s.kernel_sum(effect) / math.comb(n, 3)
+    else:
+        motif = t / (n - 1) - t.sum() / (n * (n - 1))
+    return effect.arity * motif - 4.0 * mu * pair
+
+
+def projection_variance(net: DirectedWeightedNetwork, effect: EffectKind) -> float:
+    """Estimated variance of the leading per-node projection of an estimator:
+    the mean square of :func:`node_projection`.
+
+    A value of zero against a diverging threshold signals degeneracy, in
+    which case the complete estimator must not be studentized by this
+    quantity.
+    """
+    g = node_projection(net, effect)
     return float(np.mean(g * g))

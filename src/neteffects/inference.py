@@ -120,7 +120,7 @@ def _two_sided_p(statistic: float, effect: EffectKind) -> float:
 
 def diagnose_degeneracy(
     net: DirectedWeightedNetwork,
-    effect: EffectKind,
+    effect: EffectKind | str,
     c_constant: float = 1.0,
 ) -> DegeneracyDiagnosis:
     """Decide whether the complete estimator of an effect is degenerate.
@@ -129,8 +129,10 @@ def diagnose_degeneracy(
     n^(-1/2) sqrt(log n) around its population value, which is zero in
     the degenerate case and bounded away from zero otherwise, so
     comparing against c_constant times that rate separates the two.
-    Supported for the :attr:`EffectKind.diagnosable` effects only.
+    Supported for the :attr:`EffectKind.diagnosable` effects only, given
+    as members or by any name :meth:`EffectKind.parse` accepts.
     """
+    effect = EffectKind.parse(effect)
     check_c_constant(c_constant)
     net.require_nodes(3, "diagnose_degeneracy")
     xi2 = _require_finite(projection_variance(net, effect), "projection variance", effect)
@@ -148,7 +150,7 @@ def diagnose_degeneracy(
 
 def test_effect(
     net: DirectedWeightedNetwork,
-    effect: EffectKind,
+    effect: EffectKind | str,
     alpha: float = 0.05,
     subsample_exponent: float = 1.2,
     seed: int = 0,
@@ -169,10 +171,13 @@ def test_effect(
     calibrated only under degeneracy.  Both statistics are compared
     against standard normal quantiles (two-sided).
 
-    ``alpha``, ``subsample_exponent``, ``seed`` and ``c_constant`` are
-    checked here, before any pass over the weights, whichever branch runs.
+    ``effect`` may be a member or any name :meth:`EffectKind.parse`
+    accepts; it and ``alpha``, ``subsample_exponent``, ``seed`` and
+    ``c_constant`` are checked here, before any pass over the weights,
+    whichever branch runs.
     """
     net.require_nodes(4, "test_effect")
+    effect = EffectKind.parse(effect)
     check_alpha(alpha)
     check_subsample_exponent(subsample_exponent)
     check_seed(seed)
@@ -258,18 +263,15 @@ def local_effects(net: DirectedWeightedNetwork) -> LocalEffects:
     # after row, as the columns of d do; a one-row block is contiguous in both
     # orders and numpy would sum it pairwise, so a one-row tail joins the block
     # before it.  Each block is freed before the next, so two are alive, not four.
-    sums = NodeSummaries(*np.empty((5, n)))
+    table = np.empty((5, n))  # the five sums, in NodeSummaries' field order
     stops = [*range(LOCAL_EFFECTS_BLOCK, n - 1, LOCAL_EFFECTS_BLOCK), n]
     for s, e in zip([0, *stops], stops):
         rows, cols = w[s:e] - mu, w[:, s:e].T - mu
         k = np.arange(e - s)
         rows[k, s + k] = cols[k, s + k] = 0.0
-        sums.out_sum[s:e] = rows.sum(axis=-1)
-        sums.in_sum[s:e] = cols.sum(axis=-1)
-        sums.out_sq_sum[s:e] = np.einsum("ij,ij->i", rows, rows)
-        sums.in_sq_sum[s:e] = np.einsum("ij,ij->i", cols, cols)
-        sums.reciprocal_sum[s:e] = np.einsum("ij,ij->i", rows, cols)
+        table[:, s:e] = list(vars(NodeSummaries.of(rows, cols)).values())
         del rows, cols
+    sums = NodeSummaries(*table)
     columns = {}
     for effect in EffectKind:
         # ordered (arity - 1)-tuples of the other n - 1 nodes

@@ -294,17 +294,22 @@ class NodeSummaries:
     reciprocal_sum: np.ndarray
 
     @classmethod
-    def of(cls, w: np.ndarray) -> "NodeSummaries":
+    def of(cls, rows: np.ndarray, cols: np.ndarray | None = None) -> "NodeSummaries":
         """The sums of a (k, k) matrix, or of each matrix in a (..., k, k) stack.
 
-        Each sum is one reduction over the input, with no temporary of its size.
+        Node i's out-weights are ``rows[..., i, :]`` and its in-weights
+        ``cols[..., i, :]``, by default the transpose of ``rows``; given
+        both, the sums cover just the nodes of a block of rows.  Each sum is
+        one reduction over the input, with no temporary of its size.
         """
+        if cols is None:
+            cols = np.swapaxes(rows, -1, -2)
         return cls(
-            out_sum=w.sum(axis=-1),
-            in_sum=w.sum(axis=-2),
-            out_sq_sum=np.einsum("...ij,...ij->...i", w, w),
-            in_sq_sum=np.einsum("...ij,...ij->...j", w, w),
-            reciprocal_sum=np.einsum("...ij,...ji->...i", w, w),
+            out_sum=rows.sum(axis=-1),
+            in_sum=cols.sum(axis=-1),
+            out_sq_sum=np.einsum("...ij,...ij->...i", rows, rows),
+            in_sq_sum=np.einsum("...ij,...ij->...i", cols, cols),
+            reciprocal_sum=np.einsum("...ij,...ij->...i", rows, cols),
         )
 
     def motif(self, effect: EffectKind) -> np.ndarray:

@@ -104,9 +104,9 @@ def naive_two_path_node_means(w):
     return out
 
 
-def naive_projection_variance(w, effect_name):
-    """Degeneracy statistic by per-node enumeration: mean square of the
-    combined centered kernel means, with no shared accumulation code."""
+def naive_projection(w, effect_name):
+    """Per-node leading projection by per-node enumeration: the combined
+    centered kernel means, with no shared accumulation code."""
     n = w.shape[0]
     mu = naive_mean_edge(w)
     pair_vals = {frozenset((i, j)): pair_mean(w, i, j)
@@ -124,11 +124,26 @@ def naive_projection_variance(w, effect_name):
             np.mean([rec_vals[frozenset((i, j))] for j in range(n) if j != i]) - grand
             for i in range(n)
         ])
-        combined = 2.0 * gk - 4.0 * mu * g1
-    else:
-        gk = naive_two_path_node_means(w)
-        combined = 3.0 * gk - 4.0 * mu * g1
-    return float(np.mean(combined**2))
+        return 2.0 * gk - 4.0 * mu * g1
+    return 3.0 * naive_two_path_node_means(w) - 4.0 * mu * g1
+
+
+def naive_projection_variance(w, effect_name):
+    """Degeneracy statistic: the mean square of :func:`naive_projection`."""
+    return float(np.mean(naive_projection(w, effect_name) ** 2))
+
+
+def reference_node_summaries(w):
+    """The five node sums of a matrix or a (..., k, k) stack, each as one
+    whole-array expression with the node on its own axis: out, in, out
+    squared, in squared and reciprocal."""
+    return (
+        w.sum(axis=-1),
+        w.sum(axis=-2),
+        np.einsum("...ij,...ij->...i", w, w),
+        np.einsum("...ij,...ij->...j", w, w),
+        np.einsum("...ij,...ji->...i", w, w),
+    )
 
 
 def naive_local_effects(w):

@@ -26,7 +26,7 @@ from neteffects import (
     sample_quadruples,
 )
 from neteffects import test_effect as run_effect_test
-from neteffects.estimators import centered_pair_means, centered_reciprocal_means, centered_two_path_means
+from neteffects.estimators import node_projection
 from neteffects.kernels import quadruple_kernel_values
 from neteffects.inference import local_effects
 from . import oracles
@@ -61,7 +61,7 @@ def test_criterion_01_quadruple_kernel_average_identity():
 
 
 def test_criterion_02_closed_forms_match_brute_force():
-    """Complete estimators, per-node two-path means, and local effects
+    """Complete estimators, per-node projections, and local effects
     match naive enumeration to 1e-10 relative."""
     start = time.perf_counter()
     for case in range(10):
@@ -72,10 +72,11 @@ def test_criterion_02_closed_forms_match_brute_force():
             assert complete_estimate(net, effect).value == pytest.approx(
                 oracles.naive_complete(w, effect.value), rel=1e-10, abs=1e-12
             )
-        np.testing.assert_allclose(
-            centered_two_path_means(net), oracles.naive_two_path_node_means(w),
-            rtol=1e-10, atol=1e-12,
-        )
+        for effect in (EffectKind.RECIPROCITY, EffectKind.SENDER_RECEIVER):
+            np.testing.assert_allclose(
+                node_projection(net, effect), oracles.naive_projection(w, effect.value),
+                rtol=1e-10, atol=1e-12,
+            )
         table = local_effects(net)
         rec, same_s, same_r, send_r = oracles.naive_local_effects(w)
         np.testing.assert_allclose(table.reciprocity, rec, rtol=1e-10, atol=1e-12)
@@ -271,9 +272,8 @@ def test_criterion_10_property_suite():
             assert run_effect_test(net, effect, seed=seed) == run_effect_test(net, effect, seed=seed)
 
         scale = float(np.abs(net.weights).max() ** 2) + 1.0
-        for vec in (centered_pair_means(net), centered_reciprocal_means(net),
-                    centered_two_path_means(net)):
-            assert abs(vec.sum()) <= n * 1e-12 * scale
+        for effect in (EffectKind.RECIPROCITY, EffectKind.SENDER_RECEIVER):
+            assert abs(node_projection(net, effect).sum()) <= n * 1e-12 * scale
     _report("criterion 10 (property suite)",
             "relabeling, transpose, scaling, determinism, centering on 5 random networks")
 

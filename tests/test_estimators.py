@@ -18,16 +18,12 @@ from neteffects import (
     sample_quadruples,
 )
 from neteffects import estimators
-from neteffects.estimators import (
-    centered_pair_means,
-    centered_reciprocal_means,
-    centered_two_path_means,
-    subsample_size,
-)
+from neteffects.estimators import node_projection, subsample_size
 from . import oracles
 from .conftest import constant_net, make_random_net, traced_peak
 
 ALL_EFFECTS = list(EffectKind)
+DIAGNOSABLE = [EffectKind.RECIPROCITY, EffectKind.SENDER_RECEIVER]
 
 
 class TestMeanEdge:
@@ -195,6 +191,14 @@ class TestReducedEstimate:
         sample = sample_quadruples(1000, 1.8, seed=3)
         assert traced_peak(reduced_estimate, net, sample) < 25e6
 
+    def test_spread_takes_no_second_array(self):
+        # at m = 10**6 the kernel values take 32 MB; numpy.std's rows - mean
+        # held another 32 MB, a peak of 64.5 MB
+        net = make_random_net(60, seed=4)
+        tuples = np.resize(sample_quadruples(60, 1.9, seed=1).tuples, (10**6, 4))
+        sample = QuadrupleSample(tuples=tuples, n=60)
+        assert traced_peak(reduced_estimate, net, sample) < 48e6
+
     def test_sample_network_size_mismatch(self):
         net = make_random_net(6, seed=0)
         sample = sample_quadruples(8, 1.0, seed=0)
@@ -202,39 +206,60 @@ class TestReducedEstimate:
             reduced_estimate(net, sample)[EffectKind.RECIPROCITY]
 
 
-class TestCenteredMeans:
-    def test_pair_means_hand_value(self, worked_net):
-        g = centered_pair_means(worked_net)
-        assert g[0] == pytest.approx(-0.75)
+class TestNodeProjection:
+    def test_reciprocity_hand_value(self, worked_net):
+        # pair products (1,2)=3, (1,3)=10, (2,3)=24, so node 1's centred
+        # reciprocal mean is 6.5 - 37/3; mean edge 3.5, node 1's centred pair mean -0.75
+        g = node_projection(worked_net, EffectKind.RECIPROCITY)
+        assert g[0] == pytest.approx(2 * (6.5 - 37.0 / 3.0) - 4 * 3.5 * (-0.75))
 
-    def test_reciprocal_means_hand_value(self, worked_net):
-        g = centered_reciprocal_means(worked_net)
-        # pair products (1,2)=3, (1,3)=10, (2,3)=24; node 1: 6.5 - 37/3
-        assert g[0] == pytest.approx(6.5 - 37.0 / 3.0)
-
-    @pytest.mark.parametrize("maker", [centered_pair_means, centered_reciprocal_means,
-                                       centered_two_path_means])
-    def test_constant_network_centres_to_zero_vector(self, maker):
-        g = maker(constant_net(6, 1.5))
+    @pytest.mark.parametrize("effect", DIAGNOSABLE)
+    def test_constant_network_projects_to_zero_vector(self, effect):
+        g = node_projection(constant_net(6, 1.5), effect)
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("maker", [centered_pair_means, centered_reciprocal_means,
-                                       centered_two_path_means])
+    @pytest.mark.parametrize("effect", DIAGNOSABLE)
     @pytest.mark.parametrize("seed", range(3))
-    def test_sums_to_zero(self, maker, seed):
+    def test_sums_to_zero(self, effect, seed):
         net = make_random_net(12, seed)
-        g = maker(net)
+        g = node_projection(net, effect)
         scale = np.abs(net.weights).max() ** 2 + 1.0
         assert abs(g.sum()) <= 12 * 1e-12 * scale
 
+    @pytest.mark.parametrize("effect", DIAGNOSABLE)
     @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
-    def test_two_path_means_match_triple_enumeration(self, n):
+    def test_matches_per_node_enumeration(self, effect, n):
         net = make_random_net(n, seed=n)
         np.testing.assert_allclose(
-            centered_two_path_means(net),
-            oracles.naive_two_path_node_means(net.weights),
+            node_projection(net, effect),
+            oracles.naive_projection(net.weights, effect.value),
             rtol=1e-10, atol=1e-12,
         )
+
+    # Offsets stay out: shifting every weight moves the two-path projection
+    # by cancellation in the centring, the scale dependence of ROADMAP item 3.
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(4, 60), magnitude=st.integers(-300, 300), power=st.integers(-100, 100),
+           seed=st.integers(0, 2**32 - 1))
+    def test_relabel_equivariant_transpose_invariant_and_scale_exact(self, n, magnitude,
+                                                                       power, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(n, n))
+        np.fill_diagonal(w, 0.0)
+        w -= w.sum() / (n * (n - 1))
+        np.fill_diagonal(w, 0.0)
+        w *= 2.0**magnitude  # zero-mean weights of any magnitude
+        perm = rng.permutation(n)
+        s = 2.0**power
+        for effect in DIAGNOSABLE:
+            g = node_projection(DirectedWeightedNetwork(w), effect)
+            tol = 1e-12 * np.abs(g).max()
+            relabeled = node_projection(DirectedWeightedNetwork(w[np.ix_(perm, perm)]), effect)
+            np.testing.assert_allclose(relabeled, g[perm], rtol=0, atol=tol)
+            transposed = node_projection(DirectedWeightedNetwork(w.T), effect)
+            np.testing.assert_allclose(transposed, g, rtol=0, atol=tol)
+            scaled = node_projection(DirectedWeightedNetwork(s * w), effect)
+            assert np.array_equal(scaled, s * s * g)
 
 
 class TestProjectionVariance:
@@ -252,6 +277,8 @@ class TestProjectionVariance:
     def test_unsupported_effects(self, effect):
         with pytest.raises(UnsupportedEffectError):
             projection_variance(make_random_net(6, seed=0), effect)
+        with pytest.raises(UnsupportedEffectError):
+            node_projection(make_random_net(6, seed=0), effect)
 
     @pytest.mark.parametrize("effect", [EffectKind.RECIPROCITY, EffectKind.SENDER_RECEIVER])
     def test_relabeling_invariance(self, effect):
@@ -263,16 +290,11 @@ class TestProjectionVariance:
         )
 
     def test_definition_from_centered_means(self):
-        # the estimator is the mean square of the combined projections
+        # the estimator is the mean square of the per-node projection
         net = make_random_net(10, seed=6)
-        mu = mean_edge(net)
-        g_pair = centered_pair_means(net)
-        expected = np.mean((2 * centered_reciprocal_means(net) - 4 * mu * g_pair) ** 2)
-        assert projection_variance(net, EffectKind.RECIPROCITY) == pytest.approx(expected, rel=1e-14)
-        expected5 = np.mean((3 * centered_two_path_means(net) - 4 * mu * g_pair) ** 2)
-        assert projection_variance(net, EffectKind.SENDER_RECEIVER) == pytest.approx(
-            expected5, rel=1e-14
-        )
+        for effect in DIAGNOSABLE:
+            g = node_projection(net, effect)
+            assert projection_variance(net, effect) == float(np.mean(g * g))
 
     @pytest.mark.parametrize("effect", [EffectKind.RECIPROCITY, EffectKind.SENDER_RECEIVER])
     @pytest.mark.parametrize("n", [5, 7, 9])

@@ -70,6 +70,22 @@ class TestDiagnoseDegeneracy:
         net = generate("degenerate_reciprocity", "normal", 200, 0.0, True, seed=0)
         assert not diagnose_degeneracy(net, EffectKind.RECIPROCITY).non_degenerate
 
+    @pytest.mark.parametrize("name, effect", [
+        ("eta2", EffectKind.RECIPROCITY), ("reciprocity", EffectKind.RECIPROCITY),
+        ("eta5", EffectKind.SENDER_RECEIVER), ("sender_receiver", EffectKind.SENDER_RECEIVER),
+    ])
+    def test_effect_by_name(self, name, effect):
+        net = make_random_net(30, seed=2)
+        assert diagnose_degeneracy(net, name) == diagnose_degeneracy(net, effect)
+
+    def test_unknown_effect_name(self, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("a pass over the weights ran before the check")
+
+        monkeypatch.setattr(inference, "projection_variance", no_pass)
+        with pytest.raises(ValueError, match="^unknown effect 'eta9'"):
+            diagnose_degeneracy(make_random_net(10, 0), "eta9")
+
 
 class TestStudentizedCompleteTest:
     """The complete branch, reached through test_effect's diagnosis."""
@@ -271,16 +287,27 @@ class TestParametersCheckedAtEntry:
     ])
     def test_bad_parameter_raises_before_any_pass(self, routed, name, value, message,
                                                   monkeypatch):
-        def no_pass(*args, **kwargs):
-            raise AssertionError("a pass over the weights ran before the check")
-
         net = self.NETWORKS[routed]()
-        for attr in ("diagnose_degeneracy", "complete_estimate", "sample_quadruples",
-                     "reduced_estimate"):
-            monkeypatch.setattr(inference, attr, no_pass)
+        self._forbid_passes(monkeypatch)
         for effect in EffectKind:
             with pytest.raises(ValueError, match=f"^{message} must be"):
                 run_effect_test(net, effect, **{name: value})
+
+    @pytest.mark.parametrize("routed", list(NETWORKS))
+    def test_unknown_effect_name_raises_before_any_pass(self, routed, monkeypatch):
+        net = self.NETWORKS[routed]()
+        self._forbid_passes(monkeypatch)
+        with pytest.raises(ValueError, match="^unknown effect 'eta9'"):
+            run_effect_test(net, "eta9")
+
+    @staticmethod
+    def _forbid_passes(monkeypatch):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass over the weights ran before the check")
+
+        for attr in ("diagnose_degeneracy", "complete_estimate", "sample_quadruples",
+                     "reduced_estimate"):
+            monkeypatch.setattr(inference, attr, no_pass)
 
     def test_numpy_integer_seed_is_accepted(self):
         net = self.NETWORKS["reduced"]()
@@ -314,6 +341,17 @@ class TestTestEffectRouting:
         net = generate("degenerate_reciprocity", "normal", 150, 0.0, True, seed=4)
         report = run_effect_test(net, EffectKind.RECIPROCITY, seed=0)
         assert report.branch == "reduced"
+
+    @pytest.mark.parametrize("name, effect", [
+        ("eta2", EffectKind.RECIPROCITY), ("reciprocity", EffectKind.RECIPROCITY),
+        ("eta3", EffectKind.SAME_SENDER), ("same_receiver", EffectKind.SAME_RECEIVER),
+        ("eta5", EffectKind.SENDER_RECEIVER),
+    ])
+    def test_effect_by_name_gives_the_members_report(self, name, effect):
+        net = make_random_net(30, seed=1)
+        report = run_effect_test(net, name, seed=3)
+        assert report.effect is effect
+        assert report == run_effect_test(net, effect, seed=3)
 
     def test_deterministic_reports(self):
         net = make_random_net(40, seed=5)

@@ -330,6 +330,28 @@ class TestRowColSummaries:
             for f in dataclasses.fields(NodeSummaries):
                 assert np.array_equal(getattr(sums, f.name)[k], getattr(one, f.name)), f.name
 
+    # n = 0, 1 and -1 mod 32, the block size of inference.local_effects,
+    # which passes rows and columns of its own
+    @pytest.mark.parametrize("n", [3, 32, 33, 65, 1025])
+    def test_bit_identical_to_the_whole_array_reductions(self, n):
+        base = make_random_net(n, seed=n).weights
+        for scale in (1.0, 1e-3, 1e5):
+            for offset in (0.0, 1e3, 1e8):
+                w = base * scale + offset
+                np.fill_diagonal(w, 0.0)
+                sums = NodeSummaries.of(w)
+                for f, expected in zip(dataclasses.fields(NodeSummaries),
+                                       oracles.reference_node_summaries(w)):
+                    assert np.array_equal(getattr(sums, f.name), expected), (f.name, scale, offset)
+
+    @pytest.mark.parametrize("m", [1, 7, 32_768, 40_001])
+    def test_stack_bit_identical_to_the_whole_array_reductions(self, m):
+        stack = np.random.default_rng(m).normal(size=(m, 4, 4)) * 1e3 + 1e5
+        sums = NodeSummaries.of(stack)
+        for f, expected in zip(dataclasses.fields(NodeSummaries),
+                               oracles.reference_node_summaries(stack)):
+            assert np.array_equal(getattr(sums, f.name), expected), f.name
+
     def test_no_temporary_of_the_input_size(self):
         w = make_random_net(1000, seed=6).weights  # 8 MB
         assert traced_peak(NodeSummaries.of, w) < 1e6
