@@ -30,7 +30,12 @@ __all__ = [
     "projection_variance",
 ]
 
-KERNEL_BLOCK = 32_768  # quadruples whose sub-matrices reduced_estimate gathers at a time
+# Quadruples whose sub-matrices reduced_estimate gathers at a time.  A block's
+# (4, 4, 8192) gather is 1 MB, so it and its temporaries stay in a core's 2 MB
+# L2 cache.  One cold call at n = 1000, lambda = 1.8, the median of 3 fresh
+# processes on a 2-vCPU Xeon VM, took 0.124, 0.124, 0.136, 0.195 and 0.210 s
+# with blocks of 4,096, 8,192, 16,384, 32,768 and 65,536.
+KERNEL_BLOCK = 8_192
 
 
 @dataclass(frozen=True)
@@ -47,15 +52,22 @@ class QuadrupleSample:
     """A with-replacement sample of node quadruples.
 
     ``tuples`` is an (m, 4) integer array; each row has 4 distinct
-    indices.  Samples drawn by :func:`sample_quadruples` are reproducible
-    from (n, subsample_exponent, seed).
+    indices.  The sample holds it read-only.  It copies any array but a
+    read-only one that owns its memory, such as :func:`sample_quadruples`
+    hands over, so later writes to a caller's array never reach it.
+    Samples drawn by :func:`sample_quadruples` are reproducible from (n,
+    subsample_exponent, seed).
     """
 
     tuples: np.ndarray
     n: int
 
     def __post_init__(self) -> None:
-        t = np.array(self.tuples, dtype=np.int64, copy=True, order="C")
+        t = self.tuples
+        if isinstance(t, np.ndarray) and t.flags.owndata and not t.flags.writeable:
+            t = np.asarray(t, dtype=np.int64, order="C")
+        else:
+            t = np.array(t, dtype=np.int64, copy=True, order="C")
         if t.ndim != 2 or t.shape[1] != 4:
             raise ValueError(f"tuples must have shape (m, 4), got {t.shape}")
         if t.size and (t.min() < 0 or t.max() >= self.n):
@@ -137,6 +149,7 @@ def sample_quadruples(n: int, subsample_exponent: float, seed: int) -> Quadruple
     while redraw.size:
         tuples[redraw] = rng.integers(0, n, size=(redraw.size, 4), dtype=np.int64)
         redraw = redraw[_repeats_an_index(tuples[redraw])]
+    tuples.setflags(write=False)  # no one else holds it, so the sample need not copy it
     return QuadrupleSample(tuples=tuples, n=n)
 
 

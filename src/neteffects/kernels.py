@@ -9,8 +9,10 @@ down the correction term below.  The test suite checks it, and checks
 this vectorized form against a loop-by-loop reference kernel.
 
 The within-quad node sums and motif closed forms are those of the complete
-estimators: :class:`NodeSummaries`, applied to the stack of sub-matrices,
-which one gather serves to all four effects.
+estimators: :class:`NodeSummaries`, applied to the induced sub-matrices,
+which one gather serves to all four effects.  The gather is position-major,
+with the quadruple on the last axis, so every sum over a quad's positions is
+a vector operation along the m quadruples.
 """
 
 from __future__ import annotations
@@ -43,22 +45,25 @@ def quadruple_kernel_values(
     where P sums e[a,b] e[b,a] + e[a,b]^2 over the 12 ordered pairs and B
     sums same-sender + same-receiver + 2 * two-path over the 4 triples.
 
-    Gathers the (m, 4, 4) stack of induced sub-matrices once, for all four
-    effects, and reduces it with within-quad node sums, making the cost
-    O(m) with small constants.
+    Gathers the induced sub-matrices once, for all four effects, as a
+    (4, 4, m) array whose [a, b] row holds e[quad[a], quad[b]] for every
+    quad, and reduces it with within-quad node sums on its (m, 4, 4)
+    transposed view.  Each sum and product then runs along m, making the
+    cost O(m) with small constants.
     """
     w = net.weights
     n = net.n
-    quads = np.asarray(quads)
-    s = w[quads[:, :, None], quads[:, None, :]]  # (m, 4, 4), zero diagonal
-    sums = NodeSummaries.of(s)
+    t = np.asarray(quads).T
+    # g[a, b] = e[quad[a], quad[b]] for every quad at once: (4, 4, m), zero diagonal
+    g = w.reshape(-1).take(t[:, None, :] * n + t[None, :, :])
+    sums = NodeSummaries.of(g.transpose(2, 0, 1))
     # Kernel sums over the 6 pairs or the 4 triples inside each quad.
     kernel_sum = {e: sums.kernel_sum(e) for e in EffectKind}
     pair_sum = sums.reciprocal_sum.sum(axis=1) + sums.out_sq_sum.sum(axis=1)
     del sums  # five (m, 4) arrays; kept alive, they would raise the peak memory below
 
     def pair(a, b):  # e[a,b] + e[b,a], one value per quad
-        return s[:, a, b] + s[:, b, a]
+        return g[a, b] + g[b, a]
 
     disjoint = (pair(0, 1) * pair(2, 3) + pair(0, 2) * pair(1, 3) + pair(0, 3) * pair(1, 2)) / 12.0
 

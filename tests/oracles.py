@@ -146,6 +146,35 @@ def reference_node_summaries(w):
     )
 
 
+def stack_kernel_values(w, quads):
+    """The four quadruple kernels, in :class:`EffectKind` order, on the
+    C-ordered (m, 4, 4) stack of induced sub-matrices: the vectorized
+    formula with the quad on the first axis and each within-quad sum along
+    the last, an independent layout for the package's position-major one."""
+    n = w.shape[0]
+    s = w[quads[:, :, None], quads[:, None, :]]
+    r, c, q, q_in, t = reference_node_summaries(s)
+    motif = {
+        EffectKind.RECIPROCITY: t,
+        EffectKind.SAME_SENDER: r * r - q,
+        EffectKind.SAME_RECEIVER: c * c - q_in,
+        EffectKind.SENDER_RECEIVER: c * r - t,
+    }
+    kernel_sum = {e: m.sum(axis=1) / math.factorial(e.arity) for e, m in motif.items()}
+    pair_sum = t.sum(axis=1) + q.sum(axis=1)
+
+    def pair(a, b):
+        return s[:, a, b] + s[:, b, a]
+
+    disjoint_mean = (pair(0, 1) * pair(2, 3) + pair(0, 2) * pair(1, 3) + pair(0, 3) * pair(1, 2)) / 12.0
+    triple_sum = (kernel_sum[EffectKind.SAME_SENDER] + kernel_sum[EffectKind.SAME_RECEIVER]
+                  + 2.0 * kernel_sum[EffectKind.SENDER_RECEIVER])
+    nn = float(n * n - n)
+    corr = -(pair_sum / (12.0 * nn) + (n - 2) * triple_sum / (4.0 * nn)
+             + (6.0 - 4.0 * n) * disjoint_mean / nn)
+    return [kernel_sum[e] / math.comb(4, e.arity) - disjoint_mean + corr for e in EffectKind]
+
+
 def naive_local_effects(w):
     """The four per-node local effects by double loops over the definitions."""
     n = w.shape[0]

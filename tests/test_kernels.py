@@ -5,7 +5,8 @@ import pytest
 
 from neteffects import DirectedWeightedNetwork, EffectKind, complete_estimate
 from neteffects.kernels import quadruple_kernel_values
-from .oracles import correction, disjoint, pair_mean, quadruple_kernel, receiver, recip, sender, two_path
+from .oracles import (correction, disjoint, pair_mean, quadruple_kernel, receiver, recip, sender,
+                      stack_kernel_values, two_path)
 from .conftest import constant_net, make_random_net
 
 W3 = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 4.0], [5.0, 6.0, 0.0]])
@@ -145,6 +146,25 @@ class TestQuadrupleKernel:
         vec = quadruple_kernel_values(net, quads)[effect]
         scalar = [quadruple_kernel(effect, net.weights, tuple(q), 9) for q in quads]
         np.testing.assert_allclose(vec, scalar, rtol=1e-12, atol=1e-14)
+
+    # m = 8,192 and 8,193 are one estimators.KERNEL_BLOCK and one more
+    @pytest.mark.parametrize("m", [1, 7, 8_192, 8_193])
+    def test_matches_the_stack_layout(self, m):
+        # the position-major gather sums a quad's squared out-weights in
+        # another order than the (m, 4, 4) stack does, so bits may move
+        n = 60
+        base = make_random_net(n, seed=m).weights
+        quads = np.random.default_rng(m).permuted(np.tile(np.arange(n), (m, 1)), axis=1)[:, :4]
+        for scale in (1.0, 1e-3, 1e5):
+            for offset in (0.0, 1e3, 1e8):
+                w = base * scale + offset
+                np.fill_diagonal(w, 0.0)
+                net = DirectedWeightedNetwork(w)
+                mu = net.weight_sum / (n * (n - 1))
+                values = quadruple_kernel_values(net, quads)
+                for effect, expected in zip(EffectKind, stack_kernel_values(net.weights, quads)):
+                    bound = 1e-15 * max(np.abs(expected).max(), mu * mu)
+                    assert np.abs(values[effect] - expected).max() <= bound, (effect, scale, offset)
 
     def test_transpose_duality_per_tuple(self):
         net = make_random_net(8, seed=4)

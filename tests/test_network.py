@@ -347,10 +347,13 @@ class TestRowColSummaries:
     @pytest.mark.parametrize("m", [1, 7, 32_768, 40_001])
     def test_stack_bit_identical_to_the_whole_array_reductions(self, m):
         stack = np.random.default_rng(m).normal(size=(m, 4, 4)) * 1e3 + 1e5
-        sums = NodeSummaries.of(stack)
-        for f, expected in zip(dataclasses.fields(NodeSummaries),
-                               oracles.reference_node_summaries(stack)):
-            assert np.array_equal(getattr(sums, f.name), expected), f.name
+        # and the (m, 4, 4) view of a position-major (4, 4, m) array, as the kernel gathers it
+        position_major = np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
+        for view in (stack, position_major):
+            sums = NodeSummaries.of(view)
+            for f, expected in zip(dataclasses.fields(NodeSummaries),
+                                   oracles.reference_node_summaries(view)):
+                assert np.array_equal(getattr(sums, f.name), expected), (f.name, view.strides)
 
     def test_no_temporary_of_the_input_size(self):
         w = make_random_net(1000, seed=6).weights  # 8 MB
