@@ -9,7 +9,7 @@ without requiring scikit-learn itself.
 
 from __future__ import annotations
 
-import inspect
+import dataclasses
 
 from . import inference
 from .network import EffectKind, as_network
@@ -17,6 +17,7 @@ from .network import EffectKind, as_network
 __all__ = ["NetworkEffectTest"]
 
 
+@dataclasses.dataclass(eq=False)
 class NetworkEffectTest:
     """Test one network effect on a weighted directed adjacency matrix.
 
@@ -54,19 +55,11 @@ class NetworkEffectTest:
     False
     """
 
-    def __init__(
-        self,
-        effect: str | EffectKind = "reciprocity",
-        alpha: float = 0.05,
-        subsample_exponent: float = 1.2,
-        random_state: int = 0,
-        diagnostic_constant: float = 1.0,
-    ):
-        self.effect = effect
-        self.alpha = alpha
-        self.subsample_exponent = subsample_exponent
-        self.random_state = random_state
-        self.diagnostic_constant = diagnostic_constant
+    effect: str | EffectKind = "reciprocity"
+    alpha: float = 0.05
+    subsample_exponent: float = 1.2
+    random_state: int = 0
+    diagnostic_constant: float = 1.0
 
     def fit(self, X, y=None):
         """Run the degeneracy-aware test pipeline on weight matrix X."""
@@ -89,23 +82,13 @@ class NetworkEffectTest:
         self.diagnosis_ = report.diagnosis
         return self
 
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
-
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        valid = self.get_params()
         for name, value in params.items():
             if name not in valid:
                 raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
             setattr(self, name, value)
         return self
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
-

@@ -52,9 +52,11 @@ class QuadrupleSample:
     """A with-replacement sample of node quadruples.
 
     ``tuples`` is an (m, 4) integer array; each row has 4 distinct
-    indices.  The sample holds it read-only.  It copies any array but a
-    read-only one that owns its memory, such as :func:`sample_quadruples`
-    hands over, so later writes to a caller's array never reach it.
+    indices.  The sample holds it read-only.  A read-only C-ordered int64
+    array that owns its memory, such as :func:`sample_quadruples` hands
+    over, is adopted without a copy: its owner must not make it writable
+    again, or later writes would reach the sample.  Any other array is
+    copied, so later writes to it never reach the sample.
     Samples drawn by :func:`sample_quadruples` are reproducible from (n,
     subsample_exponent, seed).
     """
@@ -63,6 +65,7 @@ class QuadrupleSample:
     n: int
 
     def __post_init__(self) -> None:
+        check_integer(self.n, "n")
         t = self.tuples
         if isinstance(t, np.ndarray) and t.flags.owndata and not t.flags.writeable:
             t = np.asarray(t, dtype=np.int64, order="C")
@@ -131,6 +134,14 @@ def check_subsample_exponent(value: float, name: str = "subsample exponent") -> 
         raise ValueError(f"{name} must be in [1, 2), got {value}")
 
 
+def check_integer(value: int, name: str, minimum: int = 0, error: type = ValueError) -> None:
+    """Raise ``error`` unless value is a Python or numpy integer, not a bool, and
+    at least ``minimum``: the one rule for every seed, size and count the API takes."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        wanted = "a non-negative integer" if minimum == 0 else f"an integer of at least {minimum}"
+        raise error(f"{name} must be {wanted}, got {value!r}")
+
+
 def sample_quadruples(n: int, subsample_exponent: float, seed: int) -> QuadrupleSample:
     """Draw round(n ** exponent) quadruples uniformly, with replacement.
 
@@ -138,6 +149,7 @@ def sample_quadruples(n: int, subsample_exponent: float, seed: int) -> Quadruple
     by rejection: sample 4 indices with replacement and redraw any row
     with a collision.  Deterministic given (n, subsample_exponent, seed).
     """
+    check_integer(n, "n")
     if n < 4:
         raise TooFewNodesError(f"quadruple sampling needs n >= 4, got {n}")
     check_subsample_exponent(subsample_exponent)

@@ -23,6 +23,7 @@ from scipy.special import ndtr
 from .errors import NonFiniteStatisticError, ZeroVarianceError
 from .estimators import (
     EffectEstimate,
+    check_integer,
     check_subsample_exponent,
     complete_estimate,
     mean_edge,
@@ -180,7 +181,7 @@ def test_effect(
     effect = EffectKind.parse(effect)
     check_alpha(alpha)
     check_subsample_exponent(subsample_exponent)
-    check_seed(seed)
+    check_integer(seed, "seed")
     check_c_constant(c_constant)
     diagnosis = diagnose_degeneracy(net, effect, c_constant) if effect.diagnosable else None
     if diagnosis is not None and diagnosis.non_degenerate:
@@ -237,7 +238,7 @@ def derive_seed(seed: int) -> int:
     The first child of ``SeedSequence(seed)``, so that nearby user seeds
     give unrelated quadruple samples.
     """
-    check_seed(seed)
+    check_integer(seed, "seed")
     return int(np.random.SeedSequence(seed).spawn(1)[0].generate_state(1)[0])
 
 
@@ -290,12 +291,6 @@ def check_alpha(alpha: float) -> None:
     """Raise ValueError unless 0 < alpha < 1 (so NaN fails)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-
-
-def check_seed(seed: int, name: str = "seed") -> None:
-    """Raise ValueError unless seed is a non-negative Python or numpy integer, not a bool."""
-    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
-        raise ValueError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
 def check_c_constant(c_constant: float, name: str = "c_constant") -> None:

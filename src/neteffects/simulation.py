@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError, ZeroVarianceError
-from .estimators import check_subsample_exponent
-from .inference import check_alpha, check_c_constant, check_seed, test_effect
+from .estimators import check_integer, check_subsample_exponent
+from .inference import check_alpha, check_c_constant, test_effect
 from .network import DirectedWeightedNetwork, EffectKind
 
 __all__ = [
@@ -78,8 +78,7 @@ class SimulationSpec:
 
     def __post_init__(self) -> None:
         _check_design(self.setting, self.config, self.n, self.c_squared)
-        if self.reps < 1:
-            raise InvalidSpecError(f"reps must be at least 1, got {self.reps}")
+        check_integer(self.reps, "reps", 1, InvalidSpecError)
         if self.null_case is None:
             object.__setattr__(self, "null_case", self.c_squared == 0)
         if self.null_case and self.c_squared > 0:
@@ -91,7 +90,7 @@ class SimulationSpec:
             check_alpha(self.alpha)
             check_subsample_exponent(self.subsample_exponent, "subsample_exponent")
             check_c_constant(self.diagnostic_constant, "diagnostic_constant")
-            check_seed(self.master_seed, "master_seed")
+            check_integer(self.master_seed, "master_seed")
             effect = default_effect(self.setting) if self.effect is None else EffectKind.parse(self.effect)
         except ValueError as exc:
             raise InvalidSpecError(str(exc)) from None
@@ -116,8 +115,7 @@ def _check_design(setting: str, config: str, n: int, c_squared: float) -> None:
         raise InvalidSpecError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
     if config not in CONFIGS:
         raise InvalidSpecError(f"unknown config {config!r}; expected one of {CONFIGS}")
-    if n < 4:
-        raise InvalidSpecError(f"n must be at least 4, got {n}")
+    check_integer(n, "n", 4, InvalidSpecError)
     if not 0.0 <= c_squared < np.inf:
         raise InvalidSpecError(f"c_squared must be finite and nonnegative, got {c_squared}")
 
@@ -152,20 +150,18 @@ def generate(
     """
     _check_design(setting, config, n, c_squared)
     rng = np.random.default_rng(seed)
-    c = np.sqrt(c_squared)
+    c = 0.0 if null_case else np.sqrt(c_squared)
 
     if setting == "a":
         a = _draw_latents(config, rng, n, "node")
         b = _draw_latents(config, rng, n, "node")
         gamma = _draw_latents(config, rng, n, "pair")
         eps = _draw_latents(config, rng, n, "noise")
-        scale = 0.0 if null_case else c
-        w = a[:, None] + b[None, :] + scale * gamma + eps
+        w = a[:, None] + b[None, :] + c * gamma + eps
     elif setting == "b":
         a = _draw_latents(config, rng, n, "node")
         eps = _draw_latents(config, rng, n, "noise")
-        scale = 0.0 if null_case else c
-        w = scale * a[:, None] + eps
+        w = c * a[:, None] + eps
     elif setting == "c":
         a = _draw_latents(config, rng, n, "node")
         eps = _draw_latents(config, rng, n, "noise")
@@ -233,8 +229,7 @@ def monte_carlo(spec: SimulationSpec, threads: int = 1) -> MonteCarloSummary:
     ``threads`` workers, no more than the CPUs available or the chunks of
     replicates; the result is identical to the serial run.
     """
-    if threads < 1:
-        raise InvalidSpecError(f"threads must be at least 1, got {threads}")
+    check_integer(threads, "threads", 1, InvalidSpecError)
     reps = spec.reps
     if threads == 1:
         outcomes = [_run_replicate(spec, rep) for rep in range(reps)]

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,18 @@ class TestNetworkEffectTest:
         text = repr(NetworkEffectTest(effect="eta2", alpha=0.1))
         assert "effect='eta2'" in text and "alpha=0.1" in text
 
+
+    def test_parameters_are_the_constructors_and_nothing_else(self):
+        defaults = {"effect": "reciprocity", "alpha": 0.05, "subsample_exponent": 1.2,
+                    "random_state": 0, "diagnostic_constant": 1.0}
+        signature = inspect.signature(NetworkEffectTest).parameters
+        assert {name: p.default for name, p in signature.items()} == defaults
+        est = NetworkEffectTest(effect="eta2", alpha=0.1).fit(random_matrix())
+        assert est.get_params() == {**defaults, "effect": "eta2", "alpha": 0.1}
+        assert repr(est) == ("NetworkEffectTest(effect='eta2', alpha=0.1, subsample_exponent=1.2,"
+                             " random_state=0, diagnostic_constant=1.0)")
+
+    def test_equality_is_identity(self):
+        est = NetworkEffectTest()
+        assert est == est and est != NetworkEffectTest()
+        assert len({est, NetworkEffectTest()}) == 2

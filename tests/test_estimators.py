@@ -134,6 +134,34 @@ class TestSampleQuadruples:
         with pytest.raises(ValueError):
             sample.tuples[0, 0] = 1
 
+    @pytest.mark.parametrize("n", [10.5, np.float64(10.0), True])
+    def test_non_integer_size_fails_before_any_draw(self, n, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw ran before the check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match="^n must be a non-negative integer") as raised:
+            sample_quadruples(n, 1.2, 0)
+        assert not isinstance(raised.value, TooFewNodesError)
+
+    def test_numpy_integer_size_is_accepted(self):
+        drawn = sample_quadruples(np.int64(10), 1.2, 0)
+        assert drawn.tuples.tobytes() == sample_quadruples(10, 1.2, 0).tuples.tobytes()
+        assert QuadrupleSample(tuples=drawn.tuples, n=np.int32(10)).m == drawn.m
+
+    @pytest.mark.parametrize("n", [4.5, np.float64(8.0), True])
+    def test_quadruple_sample_rejects_a_non_integer_size(self, n):
+        with pytest.raises(ValueError, match="^n must be a non-negative integer"):
+            QuadrupleSample(tuples=[[0, 1, 2, 3]], n=n)
+
+    def test_adopts_only_a_read_only_array_that_owns_its_memory(self):
+        # the contract: an adopted array must not be made writable again
+        owned = np.array([[0, 1, 2, 3], [4, 5, 6, 7]], dtype=np.int64)
+        owned.setflags(write=False)
+        assert np.shares_memory(QuadrupleSample(tuples=owned, n=8).tuples, owned)
+        writable = np.array([[0, 1, 2, 3], [4, 5, 6, 7]], dtype=np.int64)
+        assert not np.shares_memory(QuadrupleSample(tuples=writable, n=8).tuples, writable)
+
     def test_drawn_tuples_are_not_copied(self):
         # m = 251,189 quadruples take 8.0 MB; a copy of them peaked at 16.8 MB
         assert traced_peak(sample_quadruples, 1000, 1.8, 3) < 10e6
@@ -211,6 +239,39 @@ class TestReducedEstimate:
         tuples = np.resize(sample_quadruples(60, 1.9, seed=1).tuples, (10**6, 4))
         sample = QuadrupleSample(tuples=tuples, n=60)
         assert traced_peak(reduced_estimate, net, sample) < 38e6
+
+    @pytest.mark.parametrize("n, seed", [(7, 0), (60, 1)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_relabelling_network_and_sample_together_keeps_every_bit(self, n, seed, scale,
+                                                                     offset):
+        w = make_random_net(n, seed).weights * scale + offset
+        np.fill_diagonal(w, 0.0)
+        sample = sample_quadruples(n, 1.5, seed)
+        p = np.random.default_rng(seed + 10).permutation(n)
+        relabelled = np.empty_like(w)
+        relabelled[np.ix_(p, p)] = w  # node i is node p[i]
+        moved = QuadrupleSample(tuples=p[sample.tuples], n=n)
+        assert (repr(reduced_estimate(DirectedWeightedNetwork(relabelled), moved))
+                == repr(reduced_estimate(DirectedWeightedNetwork(w), sample)))
+
+    @pytest.mark.parametrize("n, seed", [(7, 2), (60, 3)])
+    @pytest.mark.parametrize("exponent", [-100, -10, 0, 10, 100])
+    def test_transposing_the_network_swaps_the_sender_and_receiver_effects(self, n, seed,
+                                                                           exponent):
+        # zero-mean weights only: an offset brings in ROADMAP item 3's cancellation
+        net = make_random_net(n, seed)
+        w = net.weights * 2.0**exponent
+        sample = sample_quadruples(n, 1.5, seed)
+        mu2 = mean_edge(DirectedWeightedNetwork(w)) ** 2
+        plain = reduced_estimate(DirectedWeightedNetwork(w), sample)
+        flipped = reduced_estimate(DirectedWeightedNetwork(w.T.copy()), sample)
+        swap = {EffectKind.SAME_SENDER: EffectKind.SAME_RECEIVER,
+                EffectKind.SAME_RECEIVER: EffectKind.SAME_SENDER}
+        for effect in EffectKind:
+            got, want = flipped[swap.get(effect, effect)], plain[effect]
+            for a, b in ((got.eta_hat, want.eta_hat), (got.sigma_hat, want.sigma_hat)):
+                assert abs(a - b) <= 1e-12 * max(abs(b), mu2)
 
     def test_sample_network_size_mismatch(self):
         net = make_random_net(6, seed=0)

@@ -57,10 +57,36 @@ class TestSimulationSpec:
         dict(setting="a", n=50, reps=10, master_seed=2.0),
         dict(setting="a", n=20, reps=3, master_seed=True),
         dict(setting="a", n=20, reps=3, master_seed=False),
+        dict(setting="b", n=50.5, reps=3),
+        dict(setting="b", n=np.float64(50.0), reps=3),
+        dict(setting="b", n=50, reps=2.5),
+        dict(setting="b", n=50, reps=True),
     ])
     def test_invalid_specs(self, kwargs):
         with pytest.raises(InvalidSpecError):
             SimulationSpec(**kwargs)
+
+
+class TestIntegerInputs:
+    """Sizes and counts follow the seeds' rule: a Python or numpy integer, not
+    a bool, at least a minimum; a bad one fails before any draw or pool."""
+
+    @pytest.mark.parametrize("n", [10.5, np.float64(12.0), True])
+    def test_generate_rejects_a_non_integer_size_before_any_draw(self, n, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw ran before the check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(InvalidSpecError, match="^n must be an integer of at least 4"):
+            generate("b", "normal", n, 0.0, True, seed=0)
+
+    def test_numpy_integer_sizes_and_counts_are_accepted(self):
+        spec = SimulationSpec(setting="b", n=np.int64(20), reps=np.int32(3),
+                              master_seed=np.uint8(2))
+        plain = SimulationSpec(setting="b", n=20, reps=3, master_seed=2)
+        assert monte_carlo(spec, threads=np.int64(1)) == monte_carlo(plain)
+        assert np.array_equal(generate("c", "poisson", np.int16(12), 0.0, True, seed=4).weights,
+                              generate("c", "poisson", 12, 0.0, True, seed=4).weights)
 
 
 class TestGenerate:
@@ -245,10 +271,18 @@ class TestMonteCarlo:
         monte_carlo(SimulationSpec(setting="b", n=12, reps=5, master_seed=2), threads=4)
         assert sizes == [2, 2, 3, 1]
 
-    def test_invalid_threads(self):
+    def test_invalid_threads(self, monkeypatch):
+        from neteffects import simulation as sim
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a replicate or a pool ran before the check")
+
+        monkeypatch.setattr(sim, "_run_replicate", no_run)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", no_run)
         spec = SimulationSpec(setting="b", n=25, reps=5)
-        with pytest.raises(InvalidSpecError):
-            monte_carlo(spec, threads=0)
+        for threads in (0, 1.5, True):
+            with pytest.raises(InvalidSpecError, match="^threads must be an integer of at least 1"):
+                monte_carlo(spec, threads=threads)
 
     def test_null_rate_sane(self):
         # coarse level check; the acceptance suite pins the exact targets
