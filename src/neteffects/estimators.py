@@ -1,8 +1,8 @@
 """Point estimators for the four network effects.
 
-Each complete estimator is (mean of a motif kernel over all pairs or
-triples) minus (mean edge weight squared), accumulated in O(n^2) from the
-per-node summaries.  The reduced estimators average the 4-tuple kernel
+Each complete estimator is the mean of a motif kernel of the centred
+weights over all pairs or triples, accumulated in O(n^2) from the network's
+cached per-node summaries.  The reduced estimators average the 4-tuple kernel
 over a with-replacement subsample of quadruples, which both restores
 asymptotic normality under degeneracy and cuts computation.
 """
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import TooFewNodesError, UnsupportedEffectError
 from .kernels import quadruple_kernel_values
-from .network import DirectedWeightedNetwork, EffectKind, row_col_summaries
+from .network import DirectedWeightedNetwork, EffectKind, mean_edge, row_col_summaries
 
 __all__ = [
     "EffectEstimate",
@@ -98,23 +98,16 @@ class ReducedMoment:
     m: int
 
 
-def mean_edge(net: DirectedWeightedNetwork) -> float:
-    """Average of all n(n-1) off-diagonal weights."""
-    n = net.n
-    return net.weight_sum / (n * (n - 1))
-
-
 def complete_estimate(net: DirectedWeightedNetwork, effect: EffectKind) -> EffectEstimate:
     """The complete (all-tuples) estimator of one effect.
 
-    The kernel's mean over all C(n, k) k-subsets, k the effect's arity,
-    comes in closed form from :meth:`NodeSummaries.kernel_sum`, which
-    agrees with brute-force enumeration.
+    The kernel's mean over all C(n, k) k-subsets, k the effect's arity, in
+    closed form from the centred weights' :meth:`NodeSummaries.kernel_sum`:
+    the raw kernel's mean minus ``mean_edge`` squared, without cancellation.
     """
     net.require_nodes(3, "complete_estimate")
     moment = row_col_summaries(net).kernel_sum(effect) / math.comb(net.n, effect.arity)
-    mu = mean_edge(net)
-    return EffectEstimate(effect=effect, value=float(moment - mu * mu), method="complete")
+    return EffectEstimate(effect=effect, value=float(moment), method="complete")
 
 
 def subsample_size(n: int, subsample_exponent: float) -> int:
@@ -153,6 +146,7 @@ def sample_quadruples(n: int, subsample_exponent: float, seed: int) -> Quadruple
     if n < 4:
         raise TooFewNodesError(f"quadruple sampling needs n >= 4, got {n}")
     check_subsample_exponent(subsample_exponent)
+    check_integer(seed, "seed")
     m = subsample_size(n, subsample_exponent)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     tuples = rng.integers(0, n, size=(m, 4), dtype=np.int64)
@@ -202,20 +196,19 @@ def reduced_estimate(
 def node_projection(net: DirectedWeightedNetwork, effect: EffectKind) -> np.ndarray:
     """Per-node leading (Hoeffding) projection of the complete estimator.
 
-    Node i gets k * motif_i - 4 * mean_edge * pair_i, with k the effect's
-    arity (the projection of an order-k U-statistic carries the factor
-    k), pair_i the node's mean of (e[i,j] + e[j,i]) / 2 over j, and
-    motif_i its mean reciprocal product (reciprocity) or two-path kernel
-    (sender-receiver) over the pairs or triples containing it; each mean
-    is centred by its grand mean, so the vector sums to zero up to
-    rounding.  The two-path kernel summed over the triples containing i
-    has the O(n) closed form
+    It sums to zero up to rounding, and carries the factor k of an order-k
+    U-statistic's projection.  For reciprocity node i gets
+    2 (t_i / (n-1) - sum(t) / (n(n-1))), t the centred reciprocal sums.  For
+    sender-receiver it gets 3 motif_i - 4 mean_edge pair_i, which still
+    depends on the weights' offset (ROADMAP item 3): pair_i is the node's
+    centred mean of (e[i,j] + e[j,i]) / 2, and motif_i its centred mean
+    two-path kernel, whose sum over the triples containing i is, in the raw
+    sums r, c, t rebuilt from the centred ones,
 
         [ c_i r_i - t_i + sum_b e[i,b] (r_b - e[b,i])
           + sum_b e[b,i] (c_b - e[i,b]) ] / 6,
 
-    splitting the two-paths by whether i is the middle, first, or last
-    node; the total cost is O(n^2).
+    splitting the two-paths by whether i is the middle, first, or last node.
 
     No projection is formed for the effects that are not
     :attr:`EffectKind.diagnosable`, whose tests always run on the
@@ -228,16 +221,16 @@ def node_projection(net: DirectedWeightedNetwork, effect: EffectKind) -> np.ndar
         )
     n = net.n
     s = row_col_summaries(net)
-    r, c, t = s.out_sum, s.in_sum, s.reciprocal_sum
+    if effect is EffectKind.RECIPROCITY:
+        t = s.reciprocal_sum
+        return 2.0 * (t / (n - 1) - t.sum() / (n * (n - 1)))
     mu = mean_edge(net)
+    r, c = s.out_sum + (n - 1) * mu, s.in_sum + (n - 1) * mu
+    t = s.reciprocal_sum + mu * (s.out_sum + s.in_sum) + (n - 1) * mu * mu
     pair = (r + c) / (2.0 * (n - 1)) - mu
-    if effect is EffectKind.SENDER_RECEIVER:
-        w = net.weights
-        per_node_sum = (c * r + w @ r + w.T @ c - 3.0 * t) / 6.0
-        motif = per_node_sum / math.comb(n - 1, 2) - s.kernel_sum(effect) / math.comb(n, 3)
-    else:
-        motif = t / (n - 1) - t.sum() / (n * (n - 1))
-    return effect.arity * motif - 4.0 * mu * pair
+    per_node_sum = (c * r + net.weights @ r + net.weights.T @ c - 3.0 * t) / 6.0
+    moment = s.kernel_sum(effect) / math.comb(n, 3) + mu * mu
+    return 3.0 * (per_node_sum / math.comb(n - 1, 2) - moment) - 4.0 * mu * pair
 
 
 def projection_variance(net: DirectedWeightedNetwork, effect: EffectKind) -> float:

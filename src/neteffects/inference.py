@@ -26,12 +26,12 @@ from .estimators import (
     check_integer,
     check_subsample_exponent,
     complete_estimate,
-    mean_edge,
+    mean_edge,  # not called; bench/tracing.py wraps it here until ROADMAP item 4
     projection_variance,
     reduced_estimate,
     sample_quadruples,
 )
-from .network import DirectedWeightedNetwork, EffectKind, NodeSummaries
+from .network import DirectedWeightedNetwork, EffectKind
 
 __all__ = [
     "DegeneracyDiagnosis",
@@ -47,8 +47,6 @@ MIN_P_VALUE = 1e-300
 
 BRANCH_REDUCED = "reduced"
 BRANCH_COMPLETE = "studentized_complete"
-
-LOCAL_EFFECTS_BLOCK = 32  # rows of the centred weights that local_effects holds at a time
 
 
 @dataclass(frozen=True)
@@ -140,13 +138,8 @@ def diagnose_degeneracy(
     n = net.n
     threshold = c_constant * math.sqrt(math.log(n) / n)
     verdict = "non_degenerate" if xi2 > threshold else "degenerate"
-    return DegeneracyDiagnosis(
-        effect=effect,
-        xi_squared=xi2,
-        threshold=threshold,
-        c_constant=c_constant,
-        verdict=verdict,
-    )
+    return DegeneracyDiagnosis(effect=effect, xi_squared=xi2, threshold=threshold,
+                               c_constant=c_constant, verdict=verdict)
 
 
 def test_effect(
@@ -253,30 +246,12 @@ def local_effects(net: DirectedWeightedNetwork) -> LocalEffects:
     * sender-receiver:  sum_{j != k} d[j,i] d[i,k] / ((n-1)(n-2))
 
     with j, k ranging over ordered pairs of nodes distinct from i.  All
-    four reduce to centered row/column sums, O(n) per node, taken from
-    ``LOCAL_EFFECTS_BLOCK`` rows and columns of d at a time.
+    four are motif sums of d's cached node sums, ``net.summaries``.
 
     Raises NonFiniteStatisticError when products of the weights overflow.
     """
     net.require_nodes(3, "local_effects")
-    n, w, mu = net.n, net.weights, mean_edge(net)
-    # NodeSummaries.of(d) bit for bit: a block's transposed columns sum row
-    # after row, as the columns of d do; a one-row block is contiguous in both
-    # orders and numpy would sum it pairwise, so a one-row tail joins the block
-    # before it.  Every block is centred into the same two buffers: a fresh
-    # pair per block is faulted in anew whenever malloc has returned the last
-    # pair to the system, 0.42 s against 0.24 s for the call at n = 5000.
-    table = np.empty((5, n))  # the five sums, in NodeSummaries' field order
-    stops = [*range(LOCAL_EFFECTS_BLOCK, n - 1, LOCAL_EFFECTS_BLOCK), n]
-    widest = min(n, LOCAL_EFFECTS_BLOCK + 1)
-    row_buffer, col_buffer = np.empty((widest, n)), np.empty((n, widest))
-    for s, e in zip([0, *stops], stops):
-        rows = np.subtract(w[s:e], mu, out=row_buffer[:e - s])
-        cols = np.subtract(w[:, s:e], mu, out=col_buffer[:, :e - s]).T
-        k = np.arange(e - s)
-        rows[k, s + k] = cols[k, s + k] = 0.0
-        table[:, s:e] = list(vars(NodeSummaries.of(rows, cols)).values())
-    sums = NodeSummaries(*table)
+    n, sums = net.n, net.summaries
     columns = {}
     for effect in EffectKind:
         # ordered (arity - 1)-tuples of the other n - 1 nodes

@@ -30,6 +30,7 @@ __all__ = [
     "NodeSummaries",
     "as_network",
     "from_edge_list",
+    "mean_edge",
     "read_edge_list",
     "row_col_summaries",
 ]
@@ -92,6 +93,11 @@ _SHORT_NAMES = {
     EffectKind.SENDER_RECEIVER: "eta5",
 }
 
+# Weights the node-sum pass centres at a time, in blocks of at least 32 rows.
+# On a 2-vCPU Xeon VM, at n = 100: 0.075 ms in one block, 0.167 ms in 32-row
+# blocks; at n = 5000: 243 ms in 32-row blocks, 329 ms in 13-row ones.
+SUMMARY_BLOCK = 2**16
+
 
 @dataclass(frozen=True, eq=False)
 class DirectedWeightedNetwork:
@@ -140,12 +146,33 @@ class DirectedWeightedNetwork:
 
     @cached_property
     def summaries(self) -> "NodeSummaries":
-        """Per-node sums, computed once per instance (weights are frozen)."""
-        return NodeSummaries.of(self.weights)
+        """``NodeSummaries.of(d)`` bit for bit, d = w - mean_edge with a zero diagonal,
+        computed once per instance (weights are frozen) with no copy of w."""
+        n, w, mu = self.n, self.weights, mean_edge(self)
+        block = max(32, SUMMARY_BLOCK // n)
+        # A block's transposed columns sum row after row, as d's columns do; a
+        # one-row block would be summed pairwise, so a one-row tail joins the one
+        # before it.  Fresh buffers per block cost 0.42 s against 0.24 s at n = 5000.
+        table = np.empty((5, n))  # the five sums, in NodeSummaries' field order
+        stops = [*range(block, n - 1, block), n]
+        widest = min(n, block + 1)
+        row_buffer, col_buffer = np.empty((widest, n)), np.empty((n, widest))
+        for s, e in zip([0, *stops], stops):
+            rows = np.subtract(w[s:e], mu, out=row_buffer[:e - s])
+            cols = np.subtract(w[:, s:e], mu, out=col_buffer[:, :e - s]).T
+            k = np.arange(e - s)
+            rows[k, s + k] = cols[k, s + k] = 0.0
+            table[:, s:e] = list(vars(NodeSummaries.of(rows, cols)).values())
+        return NodeSummaries(*table)
 
     def require_nodes(self, minimum: int, what: str = "this operation") -> None:
         if self.n < minimum:
             raise TooFewNodesError(f"{what} needs at least {minimum} nodes, got {self.n}")
+
+
+def mean_edge(net: DirectedWeightedNetwork) -> float:
+    """Average of all n(n-1) off-diagonal weights."""
+    return net.weight_sum / (net.n * (net.n - 1))
 
 
 def as_network(X) -> DirectedWeightedNetwork:
@@ -336,5 +363,6 @@ class NodeSummaries:
 
 
 def row_col_summaries(net: DirectedWeightedNetwork) -> NodeSummaries:
-    """All per-node sums of :class:`NodeSummaries`, one matrix pass, cached."""
+    """``net.summaries``: the node sums of the centred weights, one cached pass.
+    Those of the raw weights are ``NodeSummaries.of(net.weights)``."""
     return net.summaries

@@ -139,9 +139,9 @@ def generate(
     n: int,
     c_squared: float,
     null_case: bool,
-    seed,
+    seed: int | np.random.SeedSequence,
 ) -> DirectedWeightedNetwork:
-    """Draw one synthetic network; deterministic given the seed.
+    """Draw one synthetic network; deterministic given the seed (an integer or a SeedSequence).
 
     The degeneracy-case generators always use the normal-configuration
     latent laws (node and pair latents N(1, 1), noise N(0, 1)); the
@@ -149,6 +149,8 @@ def generate(
     a, b, and c only.
     """
     _check_design(setting, config, n, c_squared)
+    if not isinstance(seed, np.random.SeedSequence):
+        check_integer(seed, "seed", 0, InvalidSpecError)
     rng = np.random.default_rng(seed)
     c = 0.0 if null_case else np.sqrt(c_squared)
 

@@ -144,6 +144,19 @@ class TestSampleQuadruples:
             sample_quadruples(n, 1.2, 0)
         assert not isinstance(raised.value, TooFewNodesError)
 
+    @pytest.mark.parametrize("seed", [1.5, np.float64(3.0), True, -1, None])
+    def test_seed_outside_the_integer_rule_fails_before_any_draw(self, seed, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw ran before the check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            sample_quadruples(10, 1.2, seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        assert (sample_quadruples(10, 1.2, np.uint32(7)).tuples.tobytes()
+                == sample_quadruples(10, 1.2, 7).tuples.tobytes())
+
     def test_numpy_integer_size_is_accepted(self):
         drawn = sample_quadruples(np.int64(10), 1.2, 0)
         assert drawn.tuples.tobytes() == sample_quadruples(10, 1.2, 0).tuples.tobytes()

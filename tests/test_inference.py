@@ -456,9 +456,8 @@ class TestLocalEffects:
         net = make_random_net(1000, seed=2)
         assert traced_peak(local_effects, net) < 2e6
 
-    # n below one block of inference.LOCAL_EFFECTS_BLOCK = 32 rows, and n = 0, 1
-    # and -1 mod 32: a one-row tail block is summed by another numpy path
-    # unless it joins the block before it
+    # local_effects divides the motif sums of the network's node-sum pass, whose
+    # blocks TestRowColSummaries pins across its block and tail sizes
     @pytest.mark.parametrize("n", [3, 27, 64, 65, 95, 1025])
     def test_bit_identical_to_the_sums_of_the_centred_copy(self, n):
         base = make_random_net(n, seed=n).weights
@@ -474,6 +473,55 @@ class TestLocalEffects:
                 for effect in EffectKind:
                     expected = sums.motif(effect) / math.perm(n - 1, effect.arity - 1)
                     assert np.array_equal(getattr(table, effect.value), expected), (scale, offset, effect)
+
+
+class TestShiftInvariance:
+    """Adding a constant to every edge leaves the complete estimates, eta2's
+    projection variance and eta2's verdict unchanged.  The weights are
+    multiples of 2**-10 below 2**5 in size, so every shift up to 2**26 is
+    exact in float64 and only the package's own arithmetic can differ.
+    eta5's projection variance still depends on the offset (ROADMAP item 3)."""
+
+    SETTINGS = ["a", "b", "c", "degenerate_reciprocity", "nondegenerate_reciprocity"]
+    SHIFTS = [2.0**10, 2.0**16, 2.0**20, 2.0**26]
+
+    @staticmethod
+    def networks(setting):
+        for seed in range(20):
+            w = generate(setting, "normal", 30 + seed, 0.0, True, seed=seed).weights
+            w = np.round(w * 2.0**10) / 2.0**10
+            assert np.abs(w).max() < 2.0**5
+            yield w
+
+    @staticmethod
+    def shifted(w, shift):
+        v = w + shift
+        np.fill_diagonal(v, 0.0)
+        return DirectedWeightedNetwork(v)
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_complete_estimates(self, setting):
+        for w in self.networks(setting):
+            net = DirectedWeightedNetwork(w)
+            d = net.weights - estimators.mean_edge(net)
+            np.fill_diagonal(d, 0.0)
+            edge_variance = (d * d).sum() / (net.n * (net.n - 1))
+            for effect in EffectKind:
+                base = estimators.complete_estimate(net, effect).value
+                scale = max(abs(base), edge_variance)
+                for shift in self.SHIFTS:
+                    value = estimators.complete_estimate(self.shifted(w, shift), effect).value
+                    assert abs(value - base) <= 1e-12 * scale, (net.n, effect, shift)
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_reciprocity_diagnosis(self, setting):
+        for w in self.networks(setting):
+            base = diagnose_degeneracy(DirectedWeightedNetwork(w), EffectKind.RECIPROCITY)
+            for shift in self.SHIFTS:
+                shifted = diagnose_degeneracy(self.shifted(w, shift), EffectKind.RECIPROCITY)
+                assert shifted.verdict == base.verdict, (len(w), shift)
+                if shift <= 2.0**20:
+                    assert shifted.xi_squared == pytest.approx(base.xi_squared, rel=1e-9), (len(w), shift)
 
 
 class TestNullDistribution:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neteffects import network
 from neteffects import (
     DirectedWeightedNetwork,
     DuplicateEdgeError,
@@ -283,12 +284,21 @@ class TestIngestMatchesReference:
 
 class TestRowColSummaries:
     def test_worked_example(self, worked_net):
-        s = row_col_summaries(worked_net)
+        s = NodeSummaries.of(worked_net.weights)
         assert np.array_equal(s.out_sum, [3.0, 7.0, 11.0])
         assert np.array_equal(s.in_sum, [8.0, 7.0, 6.0])
         # reciprocal-product sum at node 1: 1*3 + 2*5
         assert s.reciprocal_sum[0] == 13.0
         assert np.array_equal(s.out_sq_sum, [5.0, 25.0, 61.0])
+
+    def test_worked_example_centred(self, worked_net):
+        # mean_edge = 21 / 6 = 3.5; node 1's reciprocal sum is (-2.5)(-0.5) + (-1.5)(1.5)
+        s = row_col_summaries(worked_net)
+        assert np.array_equal(s.out_sum, [-4.0, 0.0, 4.0])
+        assert np.array_equal(s.in_sum, [1.0, 0.0, -1.0])
+        assert np.array_equal(s.out_sq_sum, [8.5, 0.5, 8.5])
+        assert np.array_equal(s.in_sq_sum, [2.5, 12.5, 2.5])
+        assert np.array_equal(s.reciprocal_sum, [-1.0, 2.5, -1.0])
 
     def test_all_zero(self):
         s = row_col_summaries(DirectedWeightedNetwork(np.zeros((4, 4))))
@@ -297,21 +307,28 @@ class TestRowColSummaries:
 
     def test_constant_network(self):
         n, c = 6, 3.0
-        s = row_col_summaries(constant_net(n, c))
+        net = constant_net(n, c)
+        s = NodeSummaries.of(net.weights)
         assert np.all(s.out_sum == c * (n - 1))
         assert np.all(s.in_sum == c * (n - 1))
+        centred = row_col_summaries(net)
+        for f in dataclasses.fields(NodeSummaries):
+            assert np.all(getattr(centred, f.name) == 0.0), f.name
 
     def test_mass_conservation(self):
         net = make_random_net(8, seed=1)
-        s = row_col_summaries(net)
+        s = NodeSummaries.of(net.weights)
         assert s.out_sum.sum() == pytest.approx(s.in_sum.sum(), rel=1e-14)
         assert s.out_sum.sum() == pytest.approx(net.weights.sum(), rel=1e-14)
+        centred = row_col_summaries(net)
+        assert centred.out_sum.sum() == pytest.approx(0.0, abs=1e-14)
+        assert centred.in_sum.sum() == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_naive_recomputation_exactly(self):
         # integer weights make any summation order exact
         net = make_random_net(9, seed=5, integers=True)
         w = net.weights
-        s = row_col_summaries(net)
+        s = NodeSummaries.of(w)
         n = net.n
         for i in range(n):
             assert s.out_sum[i] == sum(w[i, j] for j in range(n))
@@ -326,12 +343,31 @@ class TestRowColSummaries:
         stack = net.weights[quads[:, :, None], quads[:, None, :]]
         sums = NodeSummaries.of(stack)
         for k in range(len(stack)):
-            one = DirectedWeightedNetwork(stack[k]).summaries
+            one = NodeSummaries.of(DirectedWeightedNetwork(stack[k]).weights)
             for f in dataclasses.fields(NodeSummaries):
                 assert np.array_equal(getattr(sums, f.name)[k], getattr(one, f.name)), f.name
 
-    # n = 0, 1 and -1 mod 32, the block size of inference.local_effects,
-    # which passes rows and columns of its own
+    # One block (3, 256), a two-row last block (257), several blocks (1025),
+    # and a one-row tail, which joins the block before it, at 114 rows (571)
+    # and at the 32-row minimum (2049).
+    @pytest.mark.parametrize("n", [3, 256, 257, 571, 1025, 2049])
+    def test_pass_bit_identical_to_the_sums_of_a_centred_copy(self, n):
+        assert network.SUMMARY_BLOCK == 2**16  # the sizes above follow its blocks
+        base = make_random_net(n, seed=n).weights
+        for scale in (1.0, 1e-3, 1e5):
+            for offset in (0.0, 1e3, 1e8):
+                w = base * scale + offset
+                np.fill_diagonal(w, 0.0)
+                net = DirectedWeightedNetwork(w)
+                d = net.weights - mean_edge(net)
+                np.fill_diagonal(d, 0.0)
+                expected = NodeSummaries.of(d)
+                for f in dataclasses.fields(NodeSummaries):
+                    assert np.array_equal(getattr(net.summaries, f.name),
+                                          getattr(expected, f.name)), (f.name, scale, offset)
+
+    # n = 0, 1 and -1 mod 32, the smallest block of the centred pass behind
+    # DirectedWeightedNetwork.summaries, which passes rows and columns of its own
     @pytest.mark.parametrize("n", [3, 32, 33, 65, 1025])
     def test_bit_identical_to_the_whole_array_reductions(self, n):
         base = make_random_net(n, seed=n).weights
@@ -368,6 +404,18 @@ class TestRowColSummaries:
         else:
             kernel = oracles.TRIPLE_KERNELS[effect.value]
             expected = 6 * sum(kernel(w, *t) for t in itertools.combinations(range(7), 3))
+        assert NodeSummaries.of(w).motif(effect).sum() == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("effect", list(EffectKind))
+    def test_centred_motif_sums_match_enumeration(self, effect):
+        net = make_random_net(7, seed=8)
+        d = net.weights - mean_edge(net)
+        np.fill_diagonal(d, 0.0)
+        if effect is EffectKind.RECIPROCITY:
+            expected = 2 * sum(oracles.recip(d, i, j) for i, j in itertools.combinations(range(7), 2))
+        else:
+            kernel = oracles.TRIPLE_KERNELS[effect.value]
+            expected = 6 * sum(kernel(d, *t) for t in itertools.combinations(range(7), 3))
         assert row_col_summaries(net).motif(effect).sum() == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_mean_edge_keeps_the_bits_of_one_matrix_sum(self):

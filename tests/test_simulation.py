@@ -80,6 +80,22 @@ class TestIntegerInputs:
         with pytest.raises(InvalidSpecError, match="^n must be an integer of at least 4"):
             generate("b", "normal", n, 0.0, True, seed=0)
 
+    @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), True, -1, None, [1, 2],
+                                      np.random.default_rng(0)])
+    def test_generate_rejects_a_seed_outside_the_rule_before_any_draw(self, seed, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw ran before the check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(InvalidSpecError, match="^seed must be a non-negative integer"):
+            generate("b", "normal", 10, 0.0, True, seed=seed)
+
+    def test_generate_takes_a_seed_sequence_or_an_integer(self):
+        # default_rng(k) seeds from SeedSequence(k), so all three draw the same network
+        nets = [generate("a", "poisson", 12, 1.0, False, seed=s)
+                for s in (5, np.int64(5), np.random.SeedSequence(5))]
+        assert all(np.array_equal(net.weights, nets[0].weights) for net in nets)
+
     def test_numpy_integer_sizes_and_counts_are_accepted(self):
         spec = SimulationSpec(setting="b", n=np.int64(20), reps=np.int32(3),
                               master_seed=np.uint8(2))
