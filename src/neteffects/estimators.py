@@ -10,6 +10,7 @@ asymptotic normality under degeneracy and cuts computation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,7 @@ class EffectEstimate:
 class QuadrupleSample:
     """A with-replacement sample of node quadruples.
 
-    ``tuples`` is an (m, 4) integer array; each row has 4 distinct
+    ``tuples`` is an (m, 4) integer array, m >= 1; each row has 4 distinct
     indices.  The sample holds it read-only.  A read-only C-ordered int64
     array that owns its memory, such as :func:`sample_quadruples` hands
     over, is adopted without a copy: its owner must not make it writable
@@ -73,7 +74,9 @@ class QuadrupleSample:
             t = np.array(t, dtype=np.int64, copy=True, order="C")
         if t.ndim != 2 or t.shape[1] != 4:
             raise ValueError(f"tuples must have shape (m, 4), got {t.shape}")
-        if t.size and (t.min() < 0 or t.max() >= self.n):
+        if not t.size:
+            raise ValueError("a quadruple sample needs at least one quadruple, got m = 0")
+        if t.min() < 0 or t.max() >= self.n:
             raise ValueError("tuple indices out of range")
         if _repeats_an_index(t).any():
             raise ValueError("each quadruple must have 4 distinct indices")
@@ -121,10 +124,10 @@ def subsample_size(n: int, subsample_exponent: float) -> int:
 
 
 def check_subsample_exponent(value: float, name: str = "subsample exponent") -> None:
-    """Raise ValueError unless 1 <= value < 2 (so NaN fails): the one rule
-    for the subsample exponent, whichever entry point receives it."""
-    if not 1.0 <= value < 2.0:
-        raise ValueError(f"{name} must be in [1, 2), got {value}")
+    """Raise ValueError unless value is a real number, not a bool, in [1, 2) (so NaN
+    fails): the one rule for the subsample exponent, whichever entry point receives it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 1.0 <= value < 2.0:
+        raise ValueError(f"{name} must be in [1, 2), got {value!r}")
 
 
 def check_integer(value: int, name: str, minimum: int = 0, error: type = ValueError) -> None:
@@ -196,19 +199,14 @@ def reduced_estimate(
 def node_projection(net: DirectedWeightedNetwork, effect: EffectKind) -> np.ndarray:
     """Per-node leading (Hoeffding) projection of the complete estimator.
 
-    It sums to zero up to rounding, and carries the factor k of an order-k
-    U-statistic's projection.  For reciprocity node i gets
-    2 (t_i / (n-1) - sum(t) / (n(n-1))), t the centred reciprocal sums.  For
-    sender-receiver it gets 3 motif_i - 4 mean_edge pair_i, which still
-    depends on the weights' offset (ROADMAP item 3): pair_i is the node's
-    centred mean of (e[i,j] + e[j,i]) / 2, and motif_i its centred mean
-    two-path kernel, whose sum over the triples containing i is, in the raw
-    sums r, c, t rebuilt from the centred ones,
-
-        [ c_i r_i - t_i + sum_b e[i,b] (r_b - e[b,i])
-          + sum_b e[b,i] (c_b - e[i,b]) ] / 6,
-
-    splitting the two-paths by whether i is the middle, first, or last node.
+    Node i gets k (S_i / C(n-1, k-1) - U), k the effect's arity, U its
+    :func:`complete_estimate` and S_i its kernel summed over the k-subsets
+    containing i, both of the centred sums r, c, t of d = w - mean_edge.  It
+    sums to zero up to rounding.  Reciprocity has S = t; sender-receiver has
+    S = (c r + d r + d^T c - 3 t) / 6, its two-paths split by whether i is
+    the middle, first or last node.  Sender-receiver's alone then loses
+    4 mean_edge pair_i / (n-2), pair_i = (r_i + c_i) / (2(n-1)): the one term
+    by which it depends on the weights' offset (ROADMAP item 3).
 
     No projection is formed for the effects that are not
     :attr:`EffectKind.diagnosable`, whose tests always run on the
@@ -219,18 +217,15 @@ def node_projection(net: DirectedWeightedNetwork, effect: EffectKind) -> np.ndar
         raise UnsupportedEffectError(
             f"no degeneracy diagnostic for {effect.value}: its test is always subsampled"
         )
-    n = net.n
-    s = row_col_summaries(net)
-    if effect is EffectKind.RECIPROCITY:
-        t = s.reciprocal_sum
-        return 2.0 * (t / (n - 1) - t.sum() / (n * (n - 1)))
-    mu = mean_edge(net)
-    r, c = s.out_sum + (n - 1) * mu, s.in_sum + (n - 1) * mu
-    t = s.reciprocal_sum + mu * (s.out_sum + s.in_sum) + (n - 1) * mu * mu
-    pair = (r + c) / (2.0 * (n - 1)) - mu
-    per_node_sum = (c * r + net.weights @ r + net.weights.T @ c - 3.0 * t) / 6.0
-    moment = s.kernel_sum(effect) / math.comb(n, 3) + mu * mu
-    return 3.0 * (per_node_sum / math.comb(n - 1, 2) - moment) - 4.0 * mu * pair
+    s, n, k, mu = row_col_summaries(net), net.n, effect.arity, mean_edge(net)
+    r, c, t = s.out_sum, s.in_sum, s.reciprocal_sum
+    subset_sum, offset = t, 0.0
+    if effect is EffectKind.SENDER_RECEIVER:
+        # (d x)_i = (w x)_i - mean_edge (sum(x) - x_i), d's diagonal being zero
+        d_r, d_c = net.weights @ r - mu * (r.sum() - r), net.weights.T @ c - mu * (c.sum() - c)
+        subset_sum = (c * r + d_r + d_c - 3.0 * t) / 6.0
+        offset = 4.0 * mu * (r + c) / (2.0 * (n - 1) * (n - 2))
+    return k * (subset_sum / math.comb(n - 1, k - 1) - complete_estimate(net, effect).value) - offset
 
 
 def projection_variance(net: DirectedWeightedNetwork, effect: EffectKind) -> float:

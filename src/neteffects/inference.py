@@ -14,6 +14,7 @@ verdict, so both are reached only through :func:`test_effect`.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 
@@ -263,12 +264,13 @@ def local_effects(net: DirectedWeightedNetwork) -> LocalEffects:
 
 
 def check_alpha(alpha: float) -> None:
-    """Raise ValueError unless 0 < alpha < 1 (so NaN fails)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    """Raise ValueError unless alpha is a real number, not a bool, in (0, 1) (so NaN fails)."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
 
 
 def check_c_constant(c_constant: float, name: str = "c_constant") -> None:
-    """Raise ValueError unless 0 < c_constant < inf (so NaN fails)."""
-    if not 0.0 < c_constant < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {c_constant}")
+    """Raise ValueError unless c_constant is a real number, not a bool, in (0, inf)."""
+    if (isinstance(c_constant, bool) or not isinstance(c_constant, numbers.Real)
+            or not 0.0 < c_constant < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {c_constant!r}")

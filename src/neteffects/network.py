@@ -108,8 +108,9 @@ class DirectedWeightedNetwork:
     weights : ndarray of shape (n, n)
         Entry (i, j) is the weight of the edge i -> j.  The diagonal must
         be exactly zero and every entry finite.
-    labels : tuple of str, optional
-        Bijection between node labels and row/column indices.
+    labels : sequence of str, optional
+        Bijection between node labels and row/column indices: n distinct
+        labels, stored as a tuple.
 
     The weight matrix is copied, cast to float64, and frozen, so instances
     can be shared freely between threads or processes.
@@ -133,10 +134,12 @@ class DirectedWeightedNetwork:
             raise NonFiniteWeightError("weight matrix contains NaN or infinite entries")
         if np.any(np.diagonal(w) != 0.0):
             raise SelfLoopError("diagonal entries must be exactly zero (no self-loops)")
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError(f"got {len(self.labels)} labels for {n} nodes")
+        labels = None if self.labels is None else tuple(self.labels)
+        if labels is not None and not len(labels) == len(set(labels)) == n:
+            raise ValueError(f"need {n} distinct labels, got {len(labels)}, {len(set(labels))} distinct")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weight_sum", total)
 
     @property

@@ -53,3 +53,16 @@ def reduced_statistic(net: DirectedWeightedNetwork, effect, seed: int,
     sample = sample_quadruples(net.n, subsample_exponent, seed)
     moment = reduced_estimate(net, sample)[effect]
     return math.sqrt(moment.m) * moment.eta_hat / moment.sigma_hat
+
+
+def two_path_offset_term(net: DirectedWeightedNetwork) -> np.ndarray:
+    """The term by which eta5's node projection depends on the weights' offset,
+    4 mu pair_i / (n - 2) with pair_i = (r_i + c_i) / (2(n - 1)), r and c the
+    out- and in-sums of d = w - mu off the diagonal; mu the mean edge.  Adding
+    it back gives 3 (S_i / C(n-1, 2) - U) of the centred weights alone."""
+    n = net.n
+    mu = net.weights.sum() / (n * (n - 1))
+    d = net.weights - mu
+    np.fill_diagonal(d, 0.0)
+    pair = (d.sum(axis=1) + d.sum(axis=0)) / (2.0 * (n - 1))
+    return 4.0 * mu * pair / (n - 2)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from neteffects import (
 from neteffects import estimators
 from neteffects.estimators import node_projection, subsample_size
 from . import oracles
-from .conftest import constant_net, make_random_net, traced_peak
+from .conftest import constant_net, make_random_net, traced_peak, two_path_offset_term
 
 ALL_EFFECTS = list(EffectKind)
 DIAGNOSABLE = [EffectKind.RECIPROCITY, EffectKind.SENDER_RECEIVER]
@@ -124,6 +125,14 @@ class TestSampleQuadruples:
             row[b] = row[a]
             with pytest.raises(ValueError, match="distinct"):
                 QuadrupleSample(tuples=np.array([[4, 5, 6, 7], row]), n=8)
+
+    @pytest.mark.parametrize("writeable", [True, False])  # the copied and the adopted array
+    def test_quadruple_sample_rejects_an_empty_sample(self, writeable):
+        # an empty sample would give reduced_estimate NaN moments
+        empty = np.empty((0, 4), dtype=np.int64)
+        empty.setflags(write=writeable)
+        with pytest.raises(ValueError, match="at least one quadruple"):
+            QuadrupleSample(tuples=empty, n=8)
 
     def test_sample_keeps_no_alias_of_a_callers_array(self):
         tuples = np.array([[0, 1, 2, 3], [4, 5, 6, 7]])
@@ -313,6 +322,31 @@ class TestNodeProjection:
         scale = np.abs(net.weights).max() ** 2 + 1.0
         assert abs(g.sum()) <= 12 * 1e-12 * scale
 
+    # Each effect's kernel on one k-subset of the centred weights d: reciprocity's
+    # d[i,j] d[j,i], and the mean of d[a,b] d[b,c] over the subset's six orderings.
+    CENTRED_KERNELS = {
+        EffectKind.RECIPROCITY: lambda d, q: d[q[0], q[1]] * d[q[1], q[0]],
+        EffectKind.SENDER_RECEIVER: lambda d, q: sum(
+            d[a, b] * d[b, c] for a, b, c in itertools.permutations(q)) / 6.0,
+    }
+
+    @pytest.mark.parametrize("effect", DIAGNOSABLE)
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_k_times_subset_sum_of_the_centred_kernel_less_its_mean(self, effect, n):
+        # g_i = k (S_i / C(n-1, k-1) - U) with S_i the centred kernel summed over the
+        # k-subsets holding i, by enumeration; eta5 less its one offset term
+        net = DirectedWeightedNetwork(make_random_net(n, seed=40 + n).weights + 2.5 * (1 - np.eye(n)))
+        d = net.weights - mean_edge(net)
+        np.fill_diagonal(d, 0.0)
+        k = effect.arity
+        values = {q: self.CENTRED_KERNELS[effect](d, q) for q in itertools.combinations(range(n), k)}
+        u = sum(values.values()) / math.comb(n, k)
+        s = np.array([sum(v for q, v in values.items() if i in q) for i in range(n)])
+        g = node_projection(net, effect)
+        if effect is EffectKind.SENDER_RECEIVER:
+            g = g + two_path_offset_term(net)
+        np.testing.assert_allclose(g, k * (s / math.comb(n - 1, k - 1) - u), rtol=1e-10, atol=1e-12)
+
     @pytest.mark.parametrize("effect", DIAGNOSABLE)
     @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
     def test_matches_per_node_enumeration(self, effect, n):
@@ -323,8 +357,9 @@ class TestNodeProjection:
             rtol=1e-10, atol=1e-12,
         )
 
-    # Offsets stay out: shifting every weight moves the two-path projection
-    # by cancellation in the centring, the scale dependence of ROADMAP item 3.
+    # Offsets stay out: a shift moves eta5's projection through its one term in
+    # the mean edge, 4 mu pair / (n - 2) (ROADMAP item 3).  Without that term the
+    # projections are shift-invariant, as test_inference.TestShiftInvariance checks.
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(4, 60), magnitude=st.integers(-300, 300), power=st.integers(-100, 100),
            seed=st.integers(0, 2**32 - 1))

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from neteffects import test_effect as run_effect_test
 from neteffects.inference import derive_seed
 from neteffects.simulation import generate
 from . import oracles
-from .conftest import constant_net, make_random_net, reduced_statistic, traced_peak
+from .conftest import (constant_net, make_random_net, reduced_statistic, traced_peak,
+                       two_path_offset_term)
 
 DIAGNOSABLE = [EffectKind.RECIPROCITY, EffectKind.SENDER_RECEIVER]
 ALWAYS_REDUCED = [EffectKind.SAME_SENDER, EffectKind.SAME_RECEIVER]
@@ -284,6 +286,16 @@ class TestParametersCheckedAtEntry:
         ("seed", True, "seed"),
         ("seed", False, "seed"),
         ("seed", np.True_, "seed"),
+        # not a real number: a str, None or a bool, as the integer rule reads it
+        ("alpha", "0.05", "alpha"),
+        ("alpha", None, "alpha"),
+        ("alpha", True, "alpha"),
+        ("subsample_exponent", "1.2", "subsample exponent"),
+        ("subsample_exponent", None, "subsample exponent"),
+        ("subsample_exponent", True, "subsample exponent"),
+        ("c_constant", "1", "c_constant"),
+        ("c_constant", None, "c_constant"),
+        ("c_constant", True, "c_constant"),
     ])
     def test_bad_parameter_raises_before_any_pass(self, routed, name, value, message,
                                                   monkeypatch):
@@ -308,6 +320,14 @@ class TestParametersCheckedAtEntry:
         for attr in ("diagnose_degeneracy", "complete_estimate", "sample_quadruples",
                      "reduced_estimate"):
             monkeypatch.setattr(inference, attr, no_pass)
+
+    @pytest.mark.parametrize("routed", list(NETWORKS))
+    def test_numpy_and_fraction_reals_are_accepted(self, routed):
+        net = self.NETWORKS[routed]()
+        for effect in EffectKind:
+            assert (run_effect_test(net, effect, alpha=np.float64(0.05), subsample_exponent=np.float64(1.2),
+                                    c_constant=Fraction(1))
+                    == run_effect_test(net, effect, alpha=0.05, subsample_exponent=1.2, c_constant=1.0))
 
     def test_numpy_integer_seed_is_accepted(self):
         net = self.NETWORKS["reduced"]()
@@ -477,10 +497,12 @@ class TestLocalEffects:
 
 class TestShiftInvariance:
     """Adding a constant to every edge leaves the complete estimates, eta2's
-    projection variance and eta2's verdict unchanged.  The weights are
-    multiples of 2**-10 below 2**5 in size, so every shift up to 2**26 is
-    exact in float64 and only the package's own arithmetic can differ.
-    eta5's projection variance still depends on the offset (ROADMAP item 3)."""
+    projection variance and eta2's verdict unchanged, and eta5's projection
+    variance too once its one offset term, 4 mu pair / (n - 2), is added
+    back.  The weights are multiples of 2**-10 below 2**5 in size, so every
+    shift up to 2**26 is exact in float64 and only the package's own
+    arithmetic can differ.  eta5's own projection variance and verdict
+    still depend on the offset through that term (ROADMAP item 3)."""
 
     SETTINGS = ["a", "b", "c", "degenerate_reciprocity", "nondegenerate_reciprocity"]
     SHIFTS = [2.0**10, 2.0**16, 2.0**20, 2.0**26]
@@ -522,6 +544,19 @@ class TestShiftInvariance:
                 assert shifted.verdict == base.verdict, (len(w), shift)
                 if shift <= 2.0**20:
                     assert shifted.xi_squared == pytest.approx(base.xi_squared, rel=1e-9), (len(w), shift)
+
+    @staticmethod
+    def two_path_xi_squared_without_offset_term(net):
+        g = estimators.node_projection(net, EffectKind.SENDER_RECEIVER) + two_path_offset_term(net)
+        return float(np.mean(g * g))
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_two_path_projection_without_its_offset_term(self, setting):
+        for w in self.networks(setting):
+            base = self.two_path_xi_squared_without_offset_term(DirectedWeightedNetwork(w))
+            for shift, rel in [(2.0**10, 1e-9), (2.0**16, 1e-9), (2.0**20, 1e-8)]:
+                value = self.two_path_xi_squared_without_offset_term(self.shifted(w, shift))
+                assert value == pytest.approx(base, rel=rel), (len(w), shift)
 
 
 class TestNullDistribution:

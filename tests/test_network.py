@@ -64,6 +64,13 @@ class TestDirectedWeightedNetwork:
         with pytest.raises(ValueError):
             DirectedWeightedNetwork(np.zeros((3, 4)))
 
+    def test_labels_are_a_tuple_of_distinct_names(self):
+        net = DirectedWeightedNetwork(np.zeros((3, 3)), labels=["a", "b", "c"])
+        assert net.labels == ("a", "b", "c") and isinstance(net.labels, tuple)
+        for labels in (["a"] * 3, ["a", "b", "a"], ["a", "b"], ["a", "b", "c", "d"]):
+            with pytest.raises(ValueError, match="^need 3 distinct labels"):
+                DirectedWeightedNetwork(np.zeros((3, 3)), labels=labels)
+
     def test_weights_are_frozen(self):
         net = constant_net(4)
         with pytest.raises(ValueError):

@@ -61,6 +61,12 @@ class TestSimulationSpec:
         dict(setting="b", n=np.float64(50.0), reps=3),
         dict(setting="b", n=50, reps=2.5),
         dict(setting="b", n=50, reps=True),
+        dict(setting="b", n=50, reps=3, alpha="0.05"),
+        dict(setting="b", n=50, reps=3, alpha=None),
+        dict(setting="b", n=50, reps=3, subsample_exponent=None),
+        dict(setting="b", n=50, reps=3, subsample_exponent=True),
+        dict(setting="b", n=50, reps=3, diagnostic_constant=True),
+        dict(setting="b", n=50, reps=3, diagnostic_constant="1"),
     ])
     def test_invalid_specs(self, kwargs):
         with pytest.raises(InvalidSpecError):
