@@ -37,6 +37,9 @@ __all__ = [
 # processes on a 2-vCPU Xeon VM, took 0.124, 0.124, 0.136, 0.195 and 0.210 s
 # with blocks of 4,096, 8,192, 16,384, 32,768 and 65,536.
 KERNEL_BLOCK = 8_192
+# A quadruple as one 32-byte item: numpy selects rows of these about twice as
+# fast as rows of an (m, 4) int64 array.
+_ROW = np.dtype((np.void, 32))
 
 
 @dataclass(frozen=True)
@@ -48,26 +51,26 @@ class EffectEstimate:
     method: str  # "complete" or "reduced"
 
 
-@dataclass(frozen=True, eq=False)
 class QuadrupleSample:
-    """A with-replacement sample of node quadruples.
+    """A with-replacement sample of m >= 1 node quadruples on n nodes.
 
-    ``tuples`` is an (m, 4) integer array, m >= 1; each row has 4 distinct
-    indices.  The sample holds it read-only.  A read-only C-ordered int64
-    array that owns its memory, such as :func:`sample_quadruples` hands
-    over, is adopted without a copy: its owner must not make it writable
-    again, or later writes would reach the sample.  Any other array is
-    copied, so later writes to it never reach the sample.
-    Samples drawn by :func:`sample_quadruples` are reproducible from (n,
-    subsample_exponent, seed).
+    ``tuples`` is the sample as a read-only (m, 4) int64 array; each row has
+    4 distinct indices.  A sample built from an array holds it.  A read-only
+    C-ordered int64 array that owns its memory is adopted without a copy: its
+    owner must not make it writable again, or later writes would reach the
+    sample.  Any other array is copied, so later writes to it never reach the
+    sample.
+
+    A sample drawn by :func:`sample_quadruples` holds only (n, m, seed), from
+    which it is reproducible.  :func:`reduced_estimate` replays its draw block
+    by block, so no (m, 4) array exists until ``tuples`` is first read, which
+    builds it from the same draw.  Samples are immutable and compare by
+    identity.
     """
 
-    tuples: np.ndarray
-    n: int
-
-    def __post_init__(self) -> None:
-        check_integer(self.n, "n")
-        t = self.tuples
+    def __init__(self, tuples: np.ndarray, n: int) -> None:
+        check_integer(n, "n")
+        t = tuples
         if isinstance(t, np.ndarray) and t.flags.owndata and not t.flags.writeable:
             t = np.asarray(t, dtype=np.int64, order="C")
         else:
@@ -76,16 +79,44 @@ class QuadrupleSample:
             raise ValueError(f"tuples must have shape (m, 4), got {t.shape}")
         if not t.size:
             raise ValueError("a quadruple sample needs at least one quadruple, got m = 0")
-        if t.min() < 0 or t.max() >= self.n:
+        if t.min() < 0 or t.max() >= n:
             raise ValueError("tuple indices out of range")
         if _repeats_an_index(t).any():
             raise ValueError("each quadruple must have 4 distinct indices")
         t.setflags(write=False)
-        object.__setattr__(self, "tuples", t)
+        vars(self).update(n=n, m=t.shape[0], _seed=None, _tuples=t)
+
+    @classmethod
+    def _drawn(cls, n: int, m: int, seed: int) -> QuadrupleSample:
+        sample = cls.__new__(cls)
+        vars(sample).update(n=n, m=m, _seed=seed, _tuples=None)
+        return sample
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a QuadrupleSample is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        seed = "" if self._seed is None else f", seed={self._seed!r}"
+        return f"QuadrupleSample(n={self.n!r}, m={self.m!r}{seed})"
 
     @property
-    def m(self) -> int:
-        return self.tuples.shape[0]
+    def tuples(self) -> np.ndarray:
+        if self._tuples is None:  # drawn: build the array once, from the one draw
+            t = np.empty((self.m, 4), dtype=np.int64)
+            for positions, quads in _draw(self.n, self.m, self._seed):
+                t[positions] = quads
+            t.setflags(write=False)
+            vars(self)["_tuples"] = t
+        return self._tuples
+
+    def _blocks(self):
+        """Every quadruple once, with its row positions: ceil(m / KERNEL_BLOCK)
+        (positions, quads) blocks of ``KERNEL_BLOCK`` rows, the last one shorter."""
+        if self._tuples is None:
+            yield from _draw(self.n, self.m, self._seed)
+            return
+        for s in range(0, self.m, KERNEL_BLOCK):
+            yield slice(s, s + KERNEL_BLOCK), self._tuples[s:s + KERNEL_BLOCK]
 
 
 @dataclass(frozen=True)
@@ -126,8 +157,14 @@ def subsample_size(n: int, subsample_exponent: float) -> int:
 def check_subsample_exponent(value: float, name: str = "subsample exponent") -> None:
     """Raise ValueError unless value is a real number, not a bool, in [1, 2) (so NaN
     fails): the one rule for the subsample exponent, whichever entry point receives it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 1.0 <= value < 2.0:
+    if not is_real(value) or not 1.0 <= value < 2.0:
         raise ValueError(f"{name} must be in [1, 2), got {value!r}")
+
+
+def is_real(value) -> bool:
+    """The one rule for every real-valued parameter the API takes: a Python or
+    numpy real number (a Fraction too), and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_integer(value: int, name: str, minimum: int = 0, error: type = ValueError) -> None:
@@ -143,23 +180,67 @@ def sample_quadruples(n: int, subsample_exponent: float, seed: int) -> Quadruple
 
     Each draw is uniform over all C(n, 4) unordered quadruples, realized
     by rejection: sample 4 indices with replacement and redraw any row
-    with a collision.  Deterministic given (n, subsample_exponent, seed).
+    with a collision.  Deterministic given (n, subsample_exponent, seed);
+    the sample holds no rows until it is reduced or read (see
+    :class:`QuadrupleSample`).
     """
     check_integer(n, "n")
     if n < 4:
         raise TooFewNodesError(f"quadruple sampling needs n >= 4, got {n}")
     check_subsample_exponent(subsample_exponent)
     check_integer(seed, "seed")
-    m = subsample_size(n, subsample_exponent)
+    return QuadrupleSample._drawn(n, subsample_size(n, subsample_exponent), seed)
+
+
+def _draw(n: int, m: int, seed: int):
+    """:func:`sample_quadruples`' draw, replayed from its seed as (positions,
+    quads) blocks of ``KERNEL_BLOCK`` rows without a repeated index, the last
+    block shorter.
+
+    Each round draws a row for every position still without a valid one, in
+    row order: ``rng.integers`` gives the same stream in pieces as at once.
+    Rows before the last block are drawn in pieces that fill a block queue.
+    The last block keeps its positions in order, as in a held sample,
+    because the kernel sums a one-row block by another path; its rows come
+    last in each round and are redrawn in place.  A row collides with
+    probability below 6/n, so few positions await a redraw.  The yielded
+    arrays are reused: use each block before taking the next.
+    """
+    size = KERNEL_BLOCK
+    last = (m - 1) // size * size
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    tuples = rng.integers(0, n, size=(m, 4), dtype=np.int64)
-    # Only a redrawn row can still collide, so each round checks those alone.
-    redraw = np.flatnonzero(_repeats_an_index(tuples))
-    while redraw.size:
-        tuples[redraw] = rng.integers(0, n, size=(redraw.size, 4), dtype=np.int64)
-        redraw = redraw[_repeats_an_index(tuples[redraw])]
-    tuples.setflags(write=False)  # no one else holds it, so the sample need not copy it
-    return QuadrupleSample(tuples=tuples, n=n)
+    room = min(size, last)
+    positions, quads = np.empty(room, dtype=np.int64), np.empty((room, 4), dtype=np.int64)
+    queued, tail = quads.view(_ROW).ravel(), np.empty((m - last, 4), dtype=np.int64)
+    filled = 0
+
+    def stage(part):  # draw a row for each position in part; queue the valid ones
+        nonlocal filled
+        drawn = rng.integers(0, n, size=(len(part), 4), dtype=np.int64)
+        bad = _repeats_an_index(drawn)
+        valid = part[~bad]
+        end = filled + len(valid)
+        positions[filled:end], queued[filled:end] = valid, drawn.view(_ROW).ravel()[~bad]
+        filled = end
+        return part[bad]
+
+    targets, count = None, last  # None: the first round, positions 0 .. last - 1
+    redraw = np.arange(m - last)  # rows of the last block still to draw
+    while count or redraw.size:
+        collided, start = [np.empty(0, dtype=np.int64)], 0
+        while start < count:
+            stop = min(count, start + size - filled)
+            collided.append(stage(np.arange(start, stop) if targets is None
+                                  else targets[start:stop]))
+            start = stop
+            if filled == size:
+                yield positions, quads
+                filled = 0
+        tail[redraw] = rng.integers(0, n, size=(redraw.size, 4), dtype=np.int64)
+        redraw = redraw[_repeats_an_index(tail[redraw])]
+        targets = np.concatenate(collided)
+        count = targets.size
+    yield slice(last, m), tail
 
 
 def _repeats_an_index(t: np.ndarray) -> np.ndarray:
@@ -174,8 +255,10 @@ def reduced_estimate(
 ) -> dict[EffectKind, ReducedMoment]:
     """Each effect's mean and spread of the 4-tuple kernel over a quadruple sample.
 
-    The kernel runs on ``KERNEL_BLOCK`` quadruples at a time, so beside the
-    (4, m) kernel values only one block's gather and sums are alive.
+    The kernel runs on ``KERNEL_BLOCK`` quadruples at a time, and each value
+    lands in its quadruple's row position.  A drawn sample's draw is replayed
+    block by block, so beside the (4, m) kernel values only one block's draw,
+    gather and sums are alive.
 
     Zero spread is legal here (e.g. a constant network makes every kernel
     value identical); the test layer is responsible for rejecting it.
@@ -184,9 +267,9 @@ def reduced_estimate(
     if sample.n != net.n:
         raise ValueError(f"sample drawn for n={sample.n} but network has n={net.n}")
     rows = np.empty((len(EffectKind), sample.m))  # two reductions for the four effects
-    for s in range(0, sample.m, KERNEL_BLOCK):
-        block = quadruple_kernel_values(net, sample.tuples[s:s + KERNEL_BLOCK])
-        rows[:, s:s + KERNEL_BLOCK] = list(block.values())
+    for positions, quads in sample._blocks():
+        for row, values in zip(rows, quadruple_kernel_values(net, quads).values()):
+            row[positions] = values
     eta = rows.mean(axis=1)
     # numpy.std's own steps, run in place: the same bits with no second (4, m) array
     rows -= eta[:, None]

@@ -14,7 +14,6 @@ verdict, so both are reached only through :func:`test_effect`.
 from __future__ import annotations
 
 import math
-import numbers
 import weakref
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ from .estimators import (
     check_integer,
     check_subsample_exponent,
     complete_estimate,
+    is_real,
     mean_edge,  # not called; bench/tracing.py wraps it here until ROADMAP item 4
     projection_variance,
     reduced_estimate,
@@ -265,12 +265,11 @@ def local_effects(net: DirectedWeightedNetwork) -> LocalEffects:
 
 def check_alpha(alpha: float) -> None:
     """Raise ValueError unless alpha is a real number, not a bool, in (0, 1) (so NaN fails)."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha < 1.0:
+    if not is_real(alpha) or not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
 
 
 def check_c_constant(c_constant: float, name: str = "c_constant") -> None:
     """Raise ValueError unless c_constant is a real number, not a bool, in (0, inf)."""
-    if (isinstance(c_constant, bool) or not isinstance(c_constant, numbers.Real)
-            or not 0.0 < c_constant < math.inf):
+    if not is_real(c_constant) or not 0.0 < c_constant < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {c_constant!r}")

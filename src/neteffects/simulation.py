@@ -10,6 +10,7 @@ diagnosable effects, used to exercise the degeneracy diagnostic.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError, ZeroVarianceError
-from .estimators import check_integer, check_subsample_exponent
+from .estimators import check_integer, check_subsample_exponent, is_real
 from .inference import check_alpha, check_c_constant, test_effect
 from .network import DirectedWeightedNetwork, EffectKind
 
@@ -116,8 +117,8 @@ def _check_design(setting: str, config: str, n: int, c_squared: float) -> None:
     if config not in CONFIGS:
         raise InvalidSpecError(f"unknown config {config!r}; expected one of {CONFIGS}")
     check_integer(n, "n", 4, InvalidSpecError)
-    if not 0.0 <= c_squared < np.inf:
-        raise InvalidSpecError(f"c_squared must be finite and nonnegative, got {c_squared}")
+    if not is_real(c_squared) or not 0.0 <= c_squared < np.inf:
+        raise InvalidSpecError(f"c_squared must be finite and nonnegative, got {c_squared!r}")
 
 
 def _draw_latents(config: str, rng: np.random.Generator, n: int, want: str) -> np.ndarray:
@@ -152,7 +153,7 @@ def generate(
     if not isinstance(seed, np.random.SeedSequence):
         check_integer(seed, "seed", 0, InvalidSpecError)
     rng = np.random.default_rng(seed)
-    c = 0.0 if null_case else np.sqrt(c_squared)
+    c = 0.0 if null_case else math.sqrt(c_squared)
 
     if setting == "a":
         a = _draw_latents(config, rng, n, "node")

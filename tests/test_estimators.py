@@ -200,6 +200,44 @@ class TestSampleQuadruples:
         expected = oracles.reference_sample_quadruples(1000, 1.8, 5)
         assert sample_quadruples(1000, 1.8, 5).tuples.tobytes() == expected.tobytes()
 
+    def test_repr_and_equality_do_not_build_the_array(self):
+        # the (m, 4) array of m = 251,189 quadruples takes 8.0 MB
+        drawn = sample_quadruples(1000, 1.8, 3)
+        assert traced_peak(repr, drawn) < 1e5
+        assert traced_peak(lambda: drawn == drawn and drawn != sample_quadruples(1000, 1.8, 3)) < 1e5
+        assert repr(drawn) == "QuadrupleSample(n=1000, m=251189, seed=3)"
+        assert repr(QuadrupleSample(tuples=[[0, 1, 2, 3]], n=5)) == "QuadrupleSample(n=5, m=1)"
+
+    def test_is_immutable(self):
+        drawn = sample_quadruples(10, 1.2, 0)
+        for sample in (drawn, QuadrupleSample(tuples=drawn.tuples, n=10)):
+            with pytest.raises(AttributeError, match="immutable"):
+                sample.n = 11
+            with pytest.raises(AttributeError, match="immutable"):
+                sample.tuples = drawn.tuples
+
+    def test_tuples_are_built_once(self):
+        drawn = sample_quadruples(30, 1.5, 2)
+        assert drawn.tuples is drawn.tuples and not drawn.tuples.flags.writeable
+
+    @pytest.mark.parametrize("block", [7, 8192])
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(4, 60), exponent=st.floats(1.0, 2.0, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_streamed_and_materialized_samples_reduce_alike(self, block, n, exponent, seed):
+        # at n = 4 most rows collide, which forces many redraw rounds
+        net = make_random_net(n, seed % 1000)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimators, "KERNEL_BLOCK", block)
+            drawn = sample_quadruples(n, exponent, seed)
+            streamed = repr(reduced_estimate(net, drawn))  # before .tuples is first read
+            tuples = drawn.tuples
+            held = QuadrupleSample(tuples=tuples.copy(), n=n)
+            assert repr(reduced_estimate(net, held)) == streamed
+            assert repr(reduced_estimate(net, drawn)) == streamed  # now reduced as slices
+        expected = oracles.reference_sample_quadruples(n, exponent, seed)
+        assert tuples.tobytes() == expected.tobytes()
+
 
 class TestReducedEstimate:
     def test_constant_network(self):

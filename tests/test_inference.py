@@ -172,6 +172,14 @@ class TestReducedTest:
         b = run_effect_test(net, EffectKind.SAME_RECEIVER, seed=21)
         assert a == b
 
+    def test_first_call_keeps_no_sample_array(self):
+        # m = 251,189: the (m, 4) sample and the (4, m) kernel values take 8 MB
+        # each; holding both, the first call peaked at 19.5 MB
+        net = make_random_net(1000, seed=1)
+        net.summaries
+        peak = traced_peak(lambda: run_effect_test(net, "eta3", subsample_exponent=1.8, seed=3))
+        assert peak < 13e6
+
 
 class TestSharedReducedSample:
     """The effects tested on one network at one (subsample_exponent, seed)

@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +68,9 @@ class TestSimulationSpec:
         dict(setting="b", n=50, reps=3, subsample_exponent=True),
         dict(setting="b", n=50, reps=3, diagnostic_constant=True),
         dict(setting="b", n=50, reps=3, diagnostic_constant="1"),
+        dict(setting="b", n=20, reps=3, c_squared="0.5"),
+        dict(setting="b", n=20, reps=3, c_squared=None),
+        dict(setting="b", n=20, reps=3, c_squared=True),
     ])
     def test_invalid_specs(self, kwargs):
         with pytest.raises(InvalidSpecError):
@@ -116,6 +120,23 @@ class TestGenerate:
     def test_signal_outside_its_range_is_rejected(self, c_squared):
         with pytest.raises(InvalidSpecError, match="^c_squared must be finite and nonnegative"):
             generate("b", "normal", 20, c_squared, False, 0)
+
+    @pytest.mark.parametrize("c_squared", ["0.5", None, True])
+    def test_signal_outside_the_real_number_rule_fails_before_any_draw(self, c_squared,
+                                                                       monkeypatch):
+        # True passed as 1.0 and ran the alternative; a str or None raised a bare TypeError
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw ran before the check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(InvalidSpecError, match="^c_squared must be finite and nonnegative"):
+            generate("b", "normal", 10, c_squared, False, seed=0)
+
+    @pytest.mark.parametrize("c_squared", [np.float64(0.5), Fraction(1, 2)])
+    def test_numpy_and_fraction_signals_draw_the_float_network(self, c_squared):
+        expected = generate("c", "normal", 12, 0.5, False, seed=3).weights
+        assert np.array_equal(generate("c", "normal", 12, c_squared, False, seed=3).weights,
+                              expected)
 
     def test_deterministic_given_seed(self):
         a = generate("a", "normal", 20, 0.5, False, seed=42)
