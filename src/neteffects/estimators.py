@@ -32,10 +32,10 @@ __all__ = [
 ]
 
 # Quadruples whose sub-matrices reduced_estimate gathers at a time.  A block's
-# (4, 4, 8192) gather is 1 MB, so it and its temporaries stay in a core's 2 MB
-# L2 cache.  One cold call at n = 1000, lambda = 1.8, the median of 3 fresh
-# processes on a 2-vCPU Xeon VM, took 0.124, 0.124, 0.136, 0.195 and 0.210 s
-# with blocks of 4,096, 8,192, 16,384, 32,768 and 65,536.
+# (12, 8192) gather is 786 KB, and the kernel peaks at 2.7 MB on it.  At
+# n = 1000, lambda = 1.8, a warm call took a median of 88, 80, 77 and 102 ms
+# over 11 fresh processes on a 2-vCPU Xeon VM with blocks of 4,096, 8,192,
+# 16,384 and 32,768; blocks of 16,384 would double the peak to save 4%.
 KERNEL_BLOCK = 8_192
 # A quadruple as one 32-byte item: numpy selects rows of these about twice as
 # fast as rows of an (m, 4) int64 array.
@@ -65,7 +65,8 @@ class QuadrupleSample:
     which it is reproducible.  :func:`reduced_estimate` replays its draw block
     by block, so no (m, 4) array exists until ``tuples`` is first read, which
     builds it from the same draw.  Samples are immutable and compare by
-    identity.
+    identity.  A copy or an unpickled sample is rebuilt the same way: a held
+    one through the constructor's checks, a drawn one from (n, m, seed).
     """
 
     def __init__(self, tuples: np.ndarray, n: int) -> None:
@@ -94,6 +95,11 @@ class QuadrupleSample:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a QuadrupleSample is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        if self._seed is None:
+            return QuadrupleSample, (self._tuples, self.n)
+        return QuadrupleSample._drawn, (self.n, self.m, self._seed)
 
     def __repr__(self) -> str:
         seed = "" if self._seed is None else f", seed={self._seed!r}"
@@ -199,48 +205,35 @@ def _draw(n: int, m: int, seed: int):
 
     Each round draws a row for every position still without a valid one, in
     row order: ``rng.integers`` gives the same stream in pieces as at once.
-    Rows before the last block are drawn in pieces that fill a block queue.
-    The last block keeps its positions in order, as in a held sample,
-    because the kernel sums a one-row block by another path; its rows come
-    last in each round and are redrawn in place.  A row collides with
+    The rows are drawn in pieces that fill a block queue.  A row collides with
     probability below 6/n, so few positions await a redraw.  The yielded
     arrays are reused: use each block before taking the next.
     """
-    size = KERNEL_BLOCK
-    last = (m - 1) // size * size
+    size = min(KERNEL_BLOCK, m)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    room = min(size, last)
-    positions, quads = np.empty(room, dtype=np.int64), np.empty((room, 4), dtype=np.int64)
-    queued, tail = quads.view(_ROW).ravel(), np.empty((m - last, 4), dtype=np.int64)
-    filled = 0
-
-    def stage(part):  # draw a row for each position in part; queue the valid ones
-        nonlocal filled
-        drawn = rng.integers(0, n, size=(len(part), 4), dtype=np.int64)
-        bad = _repeats_an_index(drawn)
-        valid = part[~bad]
-        end = filled + len(valid)
-        positions[filled:end], queued[filled:end] = valid, drawn.view(_ROW).ravel()[~bad]
-        filled = end
-        return part[bad]
-
-    targets, count = None, last  # None: the first round, positions 0 .. last - 1
-    redraw = np.arange(m - last)  # rows of the last block still to draw
-    while count or redraw.size:
+    positions, quads = np.empty(size, dtype=np.int64), np.empty((size, 4), dtype=np.int64)
+    queued, filled = quads.view(_ROW).ravel(), 0
+    targets, count = None, m  # None: the first round, positions 0 .. m - 1
+    while count:
         collided, start = [np.empty(0, dtype=np.int64)], 0
         while start < count:
             stop = min(count, start + size - filled)
-            collided.append(stage(np.arange(start, stop) if targets is None
-                                  else targets[start:stop]))
+            part = np.arange(start, stop) if targets is None else targets[start:stop]
+            drawn = rng.integers(0, n, size=(len(part), 4), dtype=np.int64)
+            bad = _repeats_an_index(drawn)
+            valid = part[~bad]
+            end = filled + len(valid)
+            positions[filled:end], queued[filled:end] = valid, drawn.view(_ROW).ravel()[~bad]
+            filled = end
+            collided.append(part[bad])
             start = stop
             if filled == size:
                 yield positions, quads
                 filled = 0
-        tail[redraw] = rng.integers(0, n, size=(redraw.size, 4), dtype=np.int64)
-        redraw = redraw[_repeats_an_index(tail[redraw])]
         targets = np.concatenate(collided)
         count = targets.size
-    yield slice(last, m), tail
+    if filled:
+        yield positions[:filled], quads[:filled]
 
 
 def _repeats_an_index(t: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -220,6 +222,19 @@ class TestSampleQuadruples:
         drawn = sample_quadruples(30, 1.5, 2)
         assert drawn.tuples is drawn.tuples and not drawn.tuples.flags.writeable
 
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                        lambda sample: pickle.loads(pickle.dumps(sample))])
+    def test_copies_are_read_only_and_reduce_alike(self, copier):
+        net = make_random_net(30, seed=4)
+        drawn = sample_quadruples(30, 1.5, 2)
+        for sample in (drawn, QuadrupleSample(tuples=drawn.tuples.copy(), n=30)):
+            twin = copier(sample)
+            assert repr(twin) == repr(sample)
+            assert not twin.tuples.flags.writeable
+            assert repr(reduced_estimate(net, twin)) == repr(reduced_estimate(net, sample))
+        # a drawn copy stays lazy: the (m, 4) array of m = 251,189 takes 8.0 MB
+        assert traced_peak(copier, sample_quadruples(1000, 1.8, 3)) < 1e5
+
     @pytest.mark.parametrize("block", [7, 8192])
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(4, 60), exponent=st.floats(1.0, 2.0, exclude_max=True),
@@ -284,6 +299,17 @@ class TestReducedEstimate:
         monkeypatch.setattr(estimators, "quadruple_kernel_values", counted)
         assert repr(reduced_estimate(net, sample)) == whole
         assert len(calls) == -(-sample.m // 7) and max(calls) == 7 and sum(calls) == sample.m
+
+    def test_a_one_row_block_keeps_every_bit(self, monkeypatch):
+        # m = 43 = 6 * 7 + 1: blocks of 7 leave the last quadruple alone in its block
+        net = make_random_net(24, seed=111)
+        reprs = set()
+        for block in (7, 8, 8192):
+            monkeypatch.setattr(estimators, "KERNEL_BLOCK", block)
+            drawn = sample_quadruples(24, 1.18359375, 111)
+            reprs.add(repr(reduced_estimate(net, drawn)))
+            reprs.add(repr(reduced_estimate(net, QuadrupleSample(tuples=drawn.tuples, n=24))))
+        assert drawn.m == 43 and len(reprs) == 1
 
     def test_one_block_of_temporaries(self):
         # at m = 251,189 the kernel values take 8 MB; one gather of every

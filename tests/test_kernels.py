@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neteffects import DirectedWeightedNetwork, EffectKind, complete_estimate
+from neteffects import DirectedWeightedNetwork, EffectKind, complete_estimate, sample_quadruples
 from neteffects.kernels import quadruple_kernel_values
 from .oracles import (correction, disjoint, pair_mean, quadruple_kernel, receiver, recip, sender,
                       stack_kernel_values, two_path)
-from .conftest import constant_net, make_random_net
+from .conftest import constant_net, make_random_net, traced_peak
 
 W3 = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 4.0], [5.0, 6.0, 0.0]])
 
@@ -165,6 +167,30 @@ class TestQuadrupleKernel:
                 for effect, expected in zip(EffectKind, stack_kernel_values(net.weights, quads)):
                     bound = 1e-15 * max(np.abs(expected).max(), mu * mu)
                     assert np.abs(values[effect] - expected).max() <= bound, (effect, scale, offset)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(4, 60), m=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 1e-3, 1e5]), offset=st.sampled_from([0.0, 1e3, 1e8]))
+    def test_a_row_has_the_same_bits_alone_as_in_a_batch(self, n, m, seed, scale, offset):
+        # a one-row (4, 4, 1) gather once took another summation path than a batch
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(n, n)) * scale + offset
+        np.fill_diagonal(w, 0.0)
+        net = DirectedWeightedNetwork(w)
+        quads = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)[:, :4]
+        batch = quadruple_kernel_values(net, quads)
+        for k in range(m):
+            alone = quadruple_kernel_values(net, quads[k:k + 1])
+            for effect in EffectKind:
+                assert batch[effect][k].tobytes() == alone[effect][0].tobytes(), (k, effect)
+
+    def test_one_block_peaks_below_a_sixteen_entry_gather(self):
+        # 8,192 quads, one estimators.KERNEL_BLOCK: the 12 gathered rows take
+        # 0.79 MB and the five (4, m) node sums 1.3 MB; a (4, 4, m) gather with
+        # einsum sums peaked at 3.15 MB
+        net = make_random_net(1000, seed=5)
+        quads = sample_quadruples(1000, 1.8, 3).tuples[:8192]
+        assert traced_peak(quadruple_kernel_values, net, quads) < 3.2e6
 
     def test_transpose_duality_per_tuple(self):
         net = make_random_net(8, seed=4)
