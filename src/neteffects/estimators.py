@@ -55,11 +55,8 @@ class QuadrupleSample:
     """A with-replacement sample of m >= 1 node quadruples on n nodes.
 
     ``tuples`` is the sample as a read-only (m, 4) int64 array; each row has
-    4 distinct indices.  A sample built from an array holds it.  A read-only
-    C-ordered int64 array that owns its memory is adopted without a copy: its
-    owner must not make it writable again, or later writes would reach the
-    sample.  Any other array is copied, so later writes to it never reach the
-    sample.
+    4 distinct indices.  A sample built from an array holds a copy of it, so
+    later writes to that array never reach the sample.
 
     A sample drawn by :func:`sample_quadruples` holds only (n, m, seed), from
     which it is reproducible.  :func:`reduced_estimate` replays its draw block
@@ -71,11 +68,7 @@ class QuadrupleSample:
 
     def __init__(self, tuples: np.ndarray, n: int) -> None:
         check_integer(n, "n")
-        t = tuples
-        if isinstance(t, np.ndarray) and t.flags.owndata and not t.flags.writeable:
-            t = np.asarray(t, dtype=np.int64, order="C")
-        else:
-            t = np.array(t, dtype=np.int64, copy=True, order="C")
+        t = np.array(tuples, dtype=np.int64, copy=True, order="C")
         if t.ndim != 2 or t.shape[1] != 4:
             raise ValueError(f"tuples must have shape (m, 4), got {t.shape}")
         if not t.size:

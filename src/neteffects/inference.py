@@ -18,7 +18,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import NonFiniteStatisticError, ZeroVarianceError
 from .estimators import (
@@ -114,8 +113,7 @@ def _require_finite(value: float, what: str, effect: EffectKind) -> float:
 
 def _two_sided_p(statistic: float, effect: EffectKind) -> float:
     _require_finite(statistic, "test statistic", effect)
-    p = 2.0 * float(ndtr(-abs(statistic)))
-    return min(max(p, MIN_P_VALUE), 1.0)
+    return max(math.erfc(abs(statistic) / math.sqrt(2.0)), MIN_P_VALUE)
 
 
 def diagnose_degeneracy(
@@ -163,8 +161,9 @@ def test_effect(
     reach it.  The degenerate verdict routes to the reduced test: with
     m = round(n ** subsample_exponent) quadruples, sqrt(m) * mean / spread
     of the kernel values, the standardized subsample mean, which is
-    calibrated only under degeneracy.  Both statistics are compared
-    against standard normal quantiles (two-sided).
+    calibrated only under degeneracy.  At n = 4 every quadruple is the one
+    node set, so that branch raises :class:`ZeroVarianceError`.  Both
+    statistics are compared against standard normal quantiles (two-sided).
 
     ``effect`` may be a member or any name :meth:`EffectKind.parse`
     accepts; it and ``alpha``, ``subsample_exponent``, ``seed`` and
@@ -181,6 +180,9 @@ def test_effect(
     if diagnosis is not None and diagnosis.non_degenerate:
         return _studentized(net, complete_estimate(net, effect), alpha, BRANCH_COMPLETE,
                             net.n, math.sqrt(diagnosis.xi_squared), diagnosis=diagnosis)
+    if net.n == 4:  # C(4, 4) = 1: the kernel values differ by rounding alone
+        raise ZeroVarianceError(f"the reduced test of {effect.value} needs at least 5 nodes: "
+                                "at n = 4 every quadruple is the one node set")
     moment = _reduced_moments(net, subsample_exponent, seed)[effect]
     _require_finite(moment.sigma_hat, "kernel spread", effect)
     if moment.sigma_hat == 0.0:

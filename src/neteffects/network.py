@@ -151,27 +151,31 @@ class DirectedWeightedNetwork:
     def summaries(self) -> "NodeSummaries":
         """``NodeSummaries.of(d)`` bit for bit, d = w - mean_edge with a zero diagonal,
         computed once per instance (weights are frozen) with no copy of a w larger
-        than one block."""
+        than one block.  The five arrays are read-only, as the weights are."""
         n, w, mu = self.n, self.weights, mean_edge(self)
         block = max(32, SUMMARY_BLOCK // n)
         stops = [*range(block, n - 1, block), n]
         if len(stops) == 1:  # one block: centre once, its columns are its rows' transpose
             d = np.subtract(w, mu)
             np.fill_diagonal(d, 0.0)
-            return NodeSummaries.of(d)
-        # A block's transposed columns sum row after row, as d's columns do; a
-        # one-row block would be summed pairwise, so a one-row tail joins the one
-        # before it.  Fresh buffers per block cost 0.42 s against 0.24 s at n = 5000.
-        table = np.empty((5, n))  # the five sums, in NodeSummaries' field order
-        widest = min(n, block + 1)
-        row_buffer, col_buffer = np.empty((widest, n)), np.empty((n, widest))
-        for s, e in zip([0, *stops], stops):
-            rows = np.subtract(w[s:e], mu, out=row_buffer[:e - s])
-            cols = np.subtract(w[:, s:e], mu, out=col_buffer[:, :e - s]).T
-            k = np.arange(e - s)
-            rows[k, s + k] = cols[k, s + k] = 0.0
-            table[:, s:e] = list(vars(NodeSummaries.of(rows, cols)).values())
-        return NodeSummaries(*table)
+            sums = NodeSummaries.of(d)
+        else:
+            # A block's transposed columns sum row after row, as d's columns do; a
+            # one-row block would be summed pairwise, so a one-row tail joins the one
+            # before it.  Fresh buffers per block cost 0.42 s against 0.24 s at n = 5000.
+            table = np.empty((5, n))  # the five sums, in NodeSummaries' field order
+            widest = min(n, block + 1)
+            row_buffer, col_buffer = np.empty((widest, n)), np.empty((n, widest))
+            for s, e in zip([0, *stops], stops):
+                rows = np.subtract(w[s:e], mu, out=row_buffer[:e - s])
+                cols = np.subtract(w[:, s:e], mu, out=col_buffer[:, :e - s]).T
+                k = np.arange(e - s)
+                rows[k, s + k] = cols[k, s + k] = 0.0
+                table[:, s:e] = list(vars(NodeSummaries.of(rows, cols)).values())
+            sums = NodeSummaries(*table)
+        for values in vars(sums).values():
+            values.setflags(write=False)
+        return sums
 
     def require_nodes(self, minimum: int, what: str = "this operation") -> None:
         if self.n < minimum:

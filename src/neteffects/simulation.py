@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,6 +236,7 @@ def monte_carlo(spec: SimulationSpec, threads: int = 1) -> MonteCarloSummary:
     if threads == 1:
         outcomes = [_run_replicate(spec, rep) for rep in range(reps)]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never imports it
         # The pool may start every worker at once, so never ask for more than can run.
         workers = min(threads, _available_cpus(), -(-reps // _CHUNK))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -120,6 +120,17 @@ class TestCmdTest:
         assert code == 2
         assert "identical" in err or "undefined" in err
 
+    def test_four_nodes_on_the_reduced_branch_exit_2(self, tmp_path, capsys):
+        # every quadruple of 4 nodes is the one node set: the spread is rounding noise
+        rng = np.random.default_rng(0)
+        path = tmp_path / "four.csv"
+        write_edges(path, [[f"w{i}", f"w{j}", repr(rng.normal())]
+                           for i in range(4) for j in range(4) if i != j])
+        code, out, err = run(["test", "--input", str(path), "--effect", "eta3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "at least 5 nodes" in err
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code, _, err = run(["test", "--input", str(tmp_path / "nope.csv")], capsys)
         assert code == 2
@@ -413,6 +424,25 @@ class TestModuleEntryPoint:
                                "--output", str(tmp_path / "missing" / "local.csv"))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_every_subcommand_runs_without_scipy(self, random_csv):
+        script = "\n".join([
+            "import sys",
+            "sys.modules['scipy'] = None  # any import of scipy now raises ImportError",
+            "import neteffects.cli",
+            "assert sys.modules['scipy'] is None",
+            "assert 'concurrent.futures.process' not in sys.modules",
+            "csv = sys.argv[1]",
+            "for args in (['test', '--input', csv, '--effect', 'all'],",
+            "             ['diagnose', '--input', csv, '--effect', 'eta5'],",
+            "             ['local-effects', '--input', csv],",
+            "             ['simulate', '--setting', 'b', '--n', '20', '--reps', '5', '--lambda', '1']):",
+            "    assert neteffects.cli.main(args) == 0, args",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script, str(random_csv)],
+                              capture_output=True, text=True, env=self.ENV, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_good_input_exits_0(self, random_csv):
         proc = self.run_module("test", "--input", str(random_csv))

@@ -130,6 +130,25 @@ class TestReducedTest:
         with pytest.raises(ZeroVarianceError):
             run_effect_test(constant_net(8), EffectKind.SAME_SENDER, seed=0)
 
+    def test_four_nodes_raise_before_any_draw(self, monkeypatch):
+        # C(4, 4) = 1: every quadruple is the one node set, so the kernel values
+        # differ by rounding alone and their spread would studentize noise
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a quadruple draw ran at n = 4")
+
+        monkeypatch.setattr(inference, "sample_quadruples", no_draw)
+        complete = 0
+        for seed in range(50):
+            net = make_random_net(4, seed)
+            for effect in EffectKind:
+                if effect.diagnosable and diagnose_degeneracy(net, effect).non_degenerate:
+                    assert run_effect_test(net, effect).branch == "studentized_complete"
+                    complete += 1
+                    continue
+                with pytest.raises(ZeroVarianceError, match="at least 5 nodes"):
+                    run_effect_test(net, effect)
+        assert complete > 0
+
     def test_report_fields(self):
         net = make_random_net(40, seed=3)
         report = run_effect_test(net, EffectKind.SAME_SENDER, alpha=0.1,
@@ -565,6 +584,22 @@ class TestShiftInvariance:
             for shift, rel in [(2.0**10, 1e-9), (2.0**16, 1e-9), (2.0**20, 1e-8)]:
                 value = self.two_path_xi_squared_without_offset_term(self.shifted(w, shift))
                 assert value == pytest.approx(base, rel=rel), (len(w), shift)
+
+
+class TestPValue:
+    def test_matches_the_normal_tail(self):
+        # 2 Phi(-z) from scipy, floored as reports are; the floor takes over near z = 37
+        z = np.concatenate([[0.0], np.linspace(1e-6, 38.5, 20001)])
+        reference = np.clip(2.0 * ndtr(-z), inference.MIN_P_VALUE, 1.0)
+        for statistic, expected in zip(z, reference):
+            for signed in (statistic, -statistic):
+                p = inference._two_sided_p(signed, EffectKind.RECIPROCITY)
+                assert p <= 1.0
+                assert abs(p - expected) <= 3e-16
+                assert abs(p - expected) <= 1e-12 * expected
+                for alpha in (0.01, 0.05, 0.1):
+                    assert (p < alpha) == (expected < alpha)
+        assert inference._two_sided_p(0.0, EffectKind.RECIPROCITY) == 1.0
 
 
 class TestNullDistribution:

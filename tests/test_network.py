@@ -17,6 +17,7 @@ from neteffects import (
     NonFiniteWeightError,
     SelfLoopError,
     TooFewNodesError,
+    complete_estimate,
     from_edge_list,
     mean_edge,
     read_edge_list,
@@ -75,6 +76,15 @@ class TestDirectedWeightedNetwork:
         net = constant_net(4)
         with pytest.raises(ValueError):
             net.weights[0, 1] = 9.0
+
+    @pytest.mark.parametrize("n", [50, 1025])  # the pass in one block and in several
+    def test_node_sums_are_frozen(self, n):
+        net = make_random_net(n, seed=2)
+        estimate = complete_estimate(net, EffectKind.SAME_SENDER)
+        for f in dataclasses.fields(NodeSummaries):
+            with pytest.raises(ValueError):
+                getattr(net.summaries, f.name)[:] = 5.0
+        assert complete_estimate(net, EffectKind.SAME_SENDER) == estimate
 
 
 class TestFromEdgeList:
@@ -390,7 +400,7 @@ class TestRowColSummaries:
     @pytest.mark.parametrize("m", [1, 7, 32_768, 40_001])
     def test_stack_bit_identical_to_the_whole_array_reductions(self, m):
         stack = np.random.default_rng(m).normal(size=(m, 4, 4)) * 1e3 + 1e5
-        # and the (m, 4, 4) view of a position-major (4, 4, m) array, as the kernel gathers it
+        # and the (m, 4, 4) view of a position-major (4, 4, m) array, whose last axis is strided
         position_major = np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
         for view in (stack, position_major):
             sums = NodeSummaries.of(view)

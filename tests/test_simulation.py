@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 from fractions import Fraction
 
@@ -281,6 +282,13 @@ class TestMonteCarlo:
         assert summary.zero_variance_count == 5
         assert summary.rejection_rate == 0.0
 
+    def test_four_node_replicates_have_zero_variance(self):
+        # the reduced test is undefined at n = 4, where every quadruple is one node set
+        summary = monte_carlo(SimulationSpec(setting="b", n=4, reps=5, master_seed=0))
+        assert summary.zero_variance_count == 5
+        assert summary.rejection_rate == 0.0
+        assert summary.statistics == ()
+
     def test_pool_is_bounded_by_cpus_and_chunks(self, monkeypatch):
         from neteffects import simulation as sim
 
@@ -302,7 +310,7 @@ class TestMonteCarlo:
                 return map(fn, *iterables)
 
         assert 1 <= sim._available_cpus() <= (os.cpu_count() or 1)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sim, "_available_cpus", lambda: 3)
         spec = SimulationSpec(setting="b", n=12, reps=40, master_seed=2)
         serial = monte_carlo(spec)
@@ -321,7 +329,7 @@ class TestMonteCarlo:
             raise AssertionError("a replicate or a pool ran before the check")
 
         monkeypatch.setattr(sim, "_run_replicate", no_run)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", no_run)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_run)
         spec = SimulationSpec(setting="b", n=25, reps=5)
         for threads in (0, 1.5, True):
             with pytest.raises(InvalidSpecError, match="^threads must be an integer of at least 1"):
