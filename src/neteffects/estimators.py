@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import TooFewNodesError, UnsupportedEffectError
 from .kernels import quadruple_kernel_values
-from .network import DirectedWeightedNetwork, EffectKind, mean_edge, row_col_summaries
+from .network import SUMMARY_TILE, DirectedWeightedNetwork, EffectKind, mean_edge, row_col_summaries
 
 __all__ = [
     "EffectEstimate",
@@ -290,8 +290,11 @@ def node_projection(net: DirectedWeightedNetwork, effect: EffectKind) -> np.ndar
     r, c, t = s.out_sum, s.in_sum, s.reciprocal_sum
     subset_sum, offset = t, 0.0
     if effect is EffectKind.SENDER_RECEIVER:
-        # (d x)_i = (w x)_i - mean_edge (sum(x) - x_i), d's diagonal being zero
-        d_r, d_c = net.weights @ r - mu * (r.sum() - r), net.weights.T @ c - mu * (c.sum() - c)
+        # (d x)_i = (w x)_i - mean_edge (sum(x) - x_i); w r and w^T c from one read of w
+        d_r, d_c, tile = mu * (r - r.sum()), mu * (c - c.sum()), SUMMARY_TILE
+        for i in range(0, n, tile):  # a tile's rows at a time
+            d_r[i:i + tile] += net.weights[i:i + tile] @ r
+            d_c += c[i:i + tile] @ net.weights[i:i + tile]
         subset_sum = (c * r + d_r + d_c - 3.0 * t) / 6.0
         offset = 4.0 * mu * (r + c) / (2.0 * (n - 1) * (n - 2))
     return k * (subset_sum / math.comb(n - 1, k - 1) - complete_estimate(net, effect).value) - offset

@@ -93,10 +93,9 @@ _SHORT_NAMES = {
     EffectKind.SENDER_RECEIVER: "eta5",
 }
 
-# Weights the node-sum pass centres at a time, in blocks of at least 32 rows.
-# On a 2-vCPU Xeon VM, at n = 100: 0.061 ms in one block, centred once, 0.167 ms
-# in 32-row blocks; at n = 5000: 243 ms in 32-row blocks, 329 ms in 13-row ones.
-SUMMARY_BLOCK = 2**16
+# Edge of the node-sum pass's square tiles.  At n = 5000 on a 2-vCPU Xeon VM the
+# pass took 124, 102 and 141 ms with tiles of 128, 256 and 512 nodes (best of 7).
+SUMMARY_TILE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +141,9 @@ class DirectedWeightedNetwork:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weight_sum", total)
 
+    def __reduce__(self):  # numpy copies and unpickles arrays writable: rebuild and freeze
+        return DirectedWeightedNetwork, (self.weights, self.labels)
+
     @property
     def n(self) -> int:
         """Node count."""
@@ -149,29 +151,27 @@ class DirectedWeightedNetwork:
 
     @cached_property
     def summaries(self) -> "NodeSummaries":
-        """``NodeSummaries.of(d)`` bit for bit, d = w - mean_edge with a zero diagonal,
-        computed once per instance (weights are frozen) with no copy of a w larger
-        than one block.  The five arrays are read-only, as the weights are."""
-        n, w, mu = self.n, self.weights, mean_edge(self)
-        block = max(32, SUMMARY_BLOCK // n)
-        stops = [*range(block, n - 1, block), n]
-        if len(stops) == 1:  # one block: centre once, its columns are its rows' transpose
+        """The read-only node sums of d = w - mean_edge with a zero diagonal, from one read
+        of w: each ``SUMMARY_TILE``-square tile (I, J), I <= J, is centred with its mirror
+        (J, I) into two reused buffers.  Up to one tile they are ``NodeSummaries.of(d)``'s bits."""
+        n, w, mu, size = self.n, self.weights, mean_edge(self), SUMMARY_TILE
+        if n <= size:  # one tile, its own mirror
             d = np.subtract(w, mu)
             np.fill_diagonal(d, 0.0)
             sums = NodeSummaries.of(d)
-        else:
-            # A block's transposed columns sum row after row, as d's columns do; a
-            # one-row block would be summed pairwise, so a one-row tail joins the one
-            # before it.  Fresh buffers per block cost 0.42 s against 0.24 s at n = 5000.
-            table = np.empty((5, n))  # the five sums, in NodeSummaries' field order
-            widest = min(n, block + 1)
-            row_buffer, col_buffer = np.empty((widest, n)), np.empty((n, widest))
-            for s, e in zip([0, *stops], stops):
-                rows = np.subtract(w[s:e], mu, out=row_buffer[:e - s])
-                cols = np.subtract(w[:, s:e], mu, out=col_buffer[:, :e - s]).T
-                k = np.arange(e - s)
-                rows[k, s + k] = cols[k, s + k] = 0.0
-                table[:, s:e] = list(vars(NodeSummaries.of(rows, cols)).values())
+        else:  # tile (I, J) holds out-weights of nodes I and in-weights of nodes J
+            table, buffers = np.zeros((5, n)), np.empty((2, size, size))  # sums in field order
+            spans = [(s, min(s + size, n)) for s in range(0, n, size)]
+            for k, (s, e) in enumerate(spans):
+                for u, v in spans[k:]:
+                    tile = np.subtract(w[s:e, u:v], mu, out=buffers[0, :e - s, :v - u])
+                    if u == s:
+                        np.fill_diagonal(tile, 0.0)
+                        table[:, s:e] += list(vars(NodeSummaries.of(tile)).values())
+                        continue
+                    mirror = np.subtract(w[u:v, s:e], mu, out=buffers[1, :v - u, :e - s])
+                    table[:, s:e] += list(vars(NodeSummaries.of(tile, mirror.T)).values())
+                    table[:, u:v] += list(vars(NodeSummaries.of(mirror, tile.T)).values())
             sums = NodeSummaries(*table)
         for values in vars(sums).values():
             values.setflags(write=False)
@@ -339,7 +339,7 @@ class NodeSummaries:
 
         Node i's out-weights are ``rows[..., i, :]`` and its in-weights
         ``cols[..., i, :]``, by default the transpose of ``rows``; given
-        both, the sums cover just the nodes of a block of rows.  Each sum is
+        both, the sums cover just the nodes of a tile's rows.  Each sum is
         one reduction over the input, with no temporary of its size.
         """
         if cols is None:

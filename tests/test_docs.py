@@ -29,7 +29,7 @@ def test_every_cited_code_name_resolves():
     # libraries' names, such as `numpy.einsum` or `math.erfc`, are not checked
     cited = re.findall(r"`(?:neteffects\.)?([A-Za-z_]\w*(?:\.\w+)+)[`(]",
                        README.read_text(encoding="utf-8"))
-    assert "network.SUMMARY_BLOCK" in cited
+    assert "network.SUMMARY_TILE" in cited
     unresolved = []
     for name in cited:
         root, *path = name.split(".")

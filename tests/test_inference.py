@@ -1,10 +1,13 @@
 import gc
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from neteffects import (
     diagnose_degeneracy,
     local_effects,
 )
-from neteffects import estimators, inference
+from neteffects import estimators, inference, network
 from neteffects import test_effect as run_effect_test
 from neteffects.inference import derive_seed
 from neteffects.simulation import generate
@@ -405,6 +408,32 @@ class TestTestEffectRouting:
         for effect in EffectKind:
             assert run_effect_test(net, effect, seed=9) == run_effect_test(net, effect, seed=9)
 
+    def test_blas_thread_count_keeps_every_bit(self):
+        # OpenBLAS reads its thread count when numpy loads, so each count runs in
+        # its own process.  At n = 600, setting a routes eta2 and eta5 to the
+        # complete branch, whose eta5 projection takes two matrix-vector products.
+        script = "\n".join([
+            "import hashlib",
+            "from neteffects import EffectKind, test_effect",
+            "from neteffects.simulation import generate",
+            "net = generate('a', 'normal', 600, 0.0, True, seed=3)",
+            "for effect in EffectKind:",
+            "    print(repr(test_effect(net, effect, seed=1)))",
+            "for values in vars(net.summaries).values():",
+            "    print(hashlib.sha256(values.tobytes()).hexdigest())",
+        ])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert "studentized_complete" in outputs[0] and "reduced" in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_propagates_zero_variance(self):
         with pytest.raises(ZeroVarianceError):
             run_effect_test(constant_net(10), EffectKind.SAME_SENDER)
@@ -503,8 +532,8 @@ class TestLocalEffects:
         net = make_random_net(1000, seed=2)
         assert traced_peak(local_effects, net) < 2e6
 
-    # local_effects divides the motif sums of the network's node-sum pass, whose
-    # blocks TestRowColSummaries pins across its block and tail sizes
+    # local_effects divides the motif sums of the network's node-sum pass, which
+    # are the centred copy's bit for bit up to one tile (TestRowColSummaries)
     @pytest.mark.parametrize("n", [3, 27, 64, 65, 95, 1025])
     def test_bit_identical_to_the_sums_of_the_centred_copy(self, n):
         base = make_random_net(n, seed=n).weights
@@ -515,7 +544,7 @@ class TestLocalEffects:
                 net = DirectedWeightedNetwork(w)
                 d = net.weights - estimators.mean_edge(net)
                 np.fill_diagonal(d, 0.0)
-                sums = NodeSummaries.of(d)
+                sums = NodeSummaries.of(d) if n <= network.SUMMARY_TILE else net.summaries
                 table = local_effects(net)
                 for effect in EffectKind:
                     expected = sums.motif(effect) / math.perm(n - 1, effect.arity - 1)

@@ -1,6 +1,8 @@
+import copy
 import csv
 import dataclasses
 import itertools
+import pickle
 import re
 
 import numpy as np
@@ -77,7 +79,23 @@ class TestDirectedWeightedNetwork:
         with pytest.raises(ValueError):
             net.weights[0, 1] = 9.0
 
-    @pytest.mark.parametrize("n", [50, 1025])  # the pass in one block and in several
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                        lambda net: pickle.loads(pickle.dumps(net))])
+    def test_copies_stay_frozen(self, copier):
+        labels = [f"v{i:03}" for i in range(300)]
+        net = DirectedWeightedNetwork(make_random_net(300, seed=4).weights, labels=labels)
+        clone = copier(net)
+        assert clone is not net and clone.labels == net.labels and clone.weight_sum == net.weight_sum
+        assert np.array_equal(clone.weights, net.weights)
+        for f in dataclasses.fields(NodeSummaries):
+            values = getattr(clone.summaries, f.name)
+            assert np.array_equal(values, getattr(net.summaries, f.name)), f.name
+            with pytest.raises(ValueError):
+                values[:] = 5.0
+        with pytest.raises(ValueError):
+            clone.weights[0, 1] = 100.0
+
+    @pytest.mark.parametrize("n", [50, 1025])  # the pass in one tile and in several
     def test_node_sums_are_frozen(self, n):
         net = make_random_net(n, seed=2)
         estimate = complete_estimate(net, EffectKind.SAME_SENDER)
@@ -364,27 +382,40 @@ class TestRowColSummaries:
             for f in dataclasses.fields(NodeSummaries):
                 assert np.array_equal(getattr(sums, f.name)[k], getattr(one, f.name)), f.name
 
-    # One block (3, 256), a two-row last block (257), several blocks (1025),
-    # and a one-row tail, which joins the block before it, at 114 rows (571)
-    # and at the 32-row minimum (2049).
-    @pytest.mark.parametrize("n", [3, 256, 257, 571, 1025, 2049])
+    # One tile: the pass centres the whole matrix once
+    @pytest.mark.parametrize("n", [3, 256])
     def test_pass_bit_identical_to_the_sums_of_a_centred_copy(self, n):
-        assert network.SUMMARY_BLOCK == 2**16  # the sizes above follow its blocks
-        base = make_random_net(n, seed=n).weights
-        for scale in (1.0, 1e-3, 1e5):
-            for offset in (0.0, 1e3, 1e8):
-                w = base * scale + offset
-                np.fill_diagonal(w, 0.0)
-                net = DirectedWeightedNetwork(w)
-                d = net.weights - mean_edge(net)
-                np.fill_diagonal(d, 0.0)
-                expected = NodeSummaries.of(d)
-                for f in dataclasses.fields(NodeSummaries):
-                    assert np.array_equal(getattr(net.summaries, f.name),
-                                          getattr(expected, f.name)), (f.name, scale, offset)
+        assert n <= network.SUMMARY_TILE
+        for net in _scaled_and_shifted(n):
+            expected = _sums_of_the_centred_copy(net)
+            for f in dataclasses.fields(NodeSummaries):
+                assert np.array_equal(getattr(net.summaries, f.name), getattr(expected, f.name)), f.name
 
-    # n = 0, 1 and -1 mod 32, the smallest block of the centred pass behind
-    # DirectedWeightedNetwork.summaries, which passes rows and columns of its own
+    # A one-column last tile (257), ragged tiles (571, 1025) and a one-node last tile
+    # of a 9 x 9 grid (2049).  Integer weights with a zero total have mean 0, and every
+    # partial sum is exact, so any summation order gives the same bits: a node sum
+    # missing, doubled or read from the wrong tile or mirror would show.
+    @pytest.mark.parametrize("n", [257, 571, 1025, 2049])
+    def test_tiles_exact_on_integer_weights(self, n):
+        assert network.SUMMARY_TILE == 256  # the sizes above follow its tiles
+        w = make_random_net(n, seed=n, integers=True).weights.copy()
+        w[0, 1] -= w.sum()
+        net = DirectedWeightedNetwork(w)
+        assert mean_edge(net) == 0.0
+        expected = NodeSummaries.of(net.weights)
+        for f in dataclasses.fields(NodeSummaries):
+            assert np.array_equal(getattr(net.summaries, f.name), getattr(expected, f.name)), f.name
+
+    @pytest.mark.parametrize("n", [257, 571, 1025, 2049])
+    def test_tiles_match_the_sums_of_a_centred_copy(self, n):
+        for net in _scaled_and_shifted(n):
+            expected = _sums_of_the_centred_copy(net)
+            for f in dataclasses.fields(NodeSummaries):
+                got, want = getattr(net.summaries, f.name), getattr(expected, f.name)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), f.name
+
+    # n = 0, 1 and -1 mod 32; DirectedWeightedNetwork.summaries also passes a tile's
+    # rows with its mirror's transpose, which the tests above check
     @pytest.mark.parametrize("n", [3, 32, 33, 65, 1025])
     def test_bit_identical_to_the_whole_array_reductions(self, n):
         base = make_random_net(n, seed=n).weights
@@ -466,3 +497,19 @@ class TestEffectKind:
     def test_short_names_round_trip(self):
         for effect in EffectKind:
             assert EffectKind.parse(effect.short_name) is effect
+
+
+def _scaled_and_shifted(n):
+    """make_random_net(n, seed=n)'s weights at 3 scales and 3 offsets."""
+    base = make_random_net(n, seed=n).weights
+    for scale in (1.0, 1e-3, 1e5):
+        for offset in (0.0, 1e3, 1e8):
+            w = base * scale + offset
+            np.fill_diagonal(w, 0.0)
+            yield DirectedWeightedNetwork(w)
+
+
+def _sums_of_the_centred_copy(net):
+    d = net.weights - mean_edge(net)
+    np.fill_diagonal(d, 0.0)
+    return NodeSummaries.of(d)
