@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFewNodesError, UnsupportedEffectError
-from .kernels import quadruple_kernel_values
+from .kernels import BUFFER_ROWS, quadruple_kernel_values
 from .network import SUMMARY_TILE, DirectedWeightedNetwork, EffectKind, mean_edge, row_col_summaries
 
 __all__ = [
@@ -31,11 +31,11 @@ __all__ = [
     "projection_variance",
 ]
 
-# Quadruples whose sub-matrices reduced_estimate gathers at a time.  A block's
-# (12, 8192) gather is 786 KB, and the kernel peaks at 2.7 MB on it.  At
-# n = 1000, lambda = 1.8, a warm call took a median of 88, 80, 77 and 102 ms
-# over 11 fresh processes on a 2-vCPU Xeon VM with blocks of 4,096, 8,192,
-# 16,384 and 32,768; blocks of 16,384 would double the peak to save 4%.
+# Quadruples whose sub-matrices reduced_estimate gathers at a time, in one buffer
+# of kernels.BUFFER_ROWS float64s per quad (2.1 MB).  At n = 1000, lambda = 1.8,
+# blocks of 4,096, 8,192, 16,384 and 32,768 took a median of 90, 78, 73 and 72 ms
+# per warm call and peaked at 1.6, 3.1, 6.2 and 12.4 MB (3 fresh processes each,
+# 7 calls, one BLAS thread, 2-vCPU Xeon VM).
 KERNEL_BLOCK = 8_192
 # A quadruple as one 32-byte item: numpy selects rows of these about twice as
 # fast as rows of an (m, 4) int64 array.
@@ -109,13 +109,11 @@ class QuadrupleSample:
         return self._tuples
 
     def _blocks(self):
-        """Every quadruple once, with its row positions: ceil(m / KERNEL_BLOCK)
-        (positions, quads) blocks of ``KERNEL_BLOCK`` rows, the last one shorter."""
-        if self._tuples is None:
-            yield from _draw(self.n, self.m, self._seed)
-            return
-        for s in range(0, self.m, KERNEL_BLOCK):
-            yield slice(s, s + KERNEL_BLOCK), self._tuples[s:s + KERNEL_BLOCK]
+        """Every quadruple once, in blocks of ``KERNEL_BLOCK`` rows, the last one
+        shorter; a drawn sample replays its draw even once ``tuples`` is built."""
+        if self._seed is not None:
+            return (quads for _, quads in _draw(self.n, self.m, self._seed))
+        return (self._tuples[s:s + KERNEL_BLOCK] for s in range(0, self.m, KERNEL_BLOCK))
 
 
 @dataclass(frozen=True)
@@ -123,7 +121,8 @@ class ReducedMoment:
     """Subsampled effect estimate with its studentizing scale.
 
     ``sigma_hat`` is the root mean squared deviation of the kernel values
-    from their mean, normalized by m (not m - 1).
+    from their mean, normalized by m (not m - 1).  Both are merged block by
+    block, so their last bits depend on ``KERNEL_BLOCK``.
     """
 
     eta_hat: float
@@ -241,10 +240,10 @@ def reduced_estimate(
 ) -> dict[EffectKind, ReducedMoment]:
     """Each effect's mean and spread of the 4-tuple kernel over a quadruple sample.
 
-    The kernel runs on ``KERNEL_BLOCK`` quadruples at a time, and each value
-    lands in its quadruple's row position.  A drawn sample's draw is replayed
-    block by block, so beside the (4, m) kernel values only one block's draw,
-    gather and sums are alive.
+    The kernel runs on ``KERNEL_BLOCK`` quadruples at a time in one reused
+    buffer.  Each block's mean and squared deviations, taken in place, merge
+    into the running ones in block order (Chan, Golub & LeVeque 1983), so
+    memory does not grow with m.  One block has ``numpy.mean``'s and ``numpy.std``'s bits.
 
     Zero spread is legal here (e.g. a constant network makes every kernel
     value identical); the test layer is responsible for rejecting it.
@@ -252,17 +251,19 @@ def reduced_estimate(
     net.require_nodes(4, "reduced_estimate")
     if sample.n != net.n:
         raise ValueError(f"sample drawn for n={sample.n} but network has n={net.n}")
-    rows = np.empty((len(EffectKind), sample.m))  # two reductions for the four effects
-    for positions, quads in sample._blocks():
-        for row, values in zip(rows, quadruple_kernel_values(net, quads).values()):
-            row[positions] = values
-    eta = rows.mean(axis=1)
-    # numpy.std's own steps, run in place: the same bits with no second (4, m) array
-    rows -= eta[:, None]
-    np.multiply(rows, rows, out=rows)
-    sigma = np.sqrt(rows.mean(axis=1))
+    buffer, count = np.empty(BUFFER_ROWS * min(KERNEL_BLOCK, sample.m)), 0
+    for quads in sample._blocks():
+        quadruple_kernel_values(net, quads, buffer)
+        b, values = len(quads), buffer[:len(EffectKind) * len(quads)].reshape(len(EffectKind), -1)
+        mean = values.sum(axis=1) / b  # numpy.mean's own steps
+        values -= mean[:, None]
+        sq = np.multiply(values, values, out=values).sum(axis=1)
+        if count:  # the first block seeds the moments: a merge into zeros could take inf * 0
+            delta, weight = mean - eta, b / (count + b)
+            mean, sq = eta + delta * weight, squares + sq + delta * delta * (count * weight)
+        count, eta, squares = count + b, mean, sq
     return {effect: ReducedMoment(eta_hat=mean, sigma_hat=spread, m=sample.m)
-            for effect, mean, spread in zip(EffectKind, eta.tolist(), sigma.tolist())}
+            for effect, mean, spread in zip(EffectKind, eta.tolist(), np.sqrt(squares / count).tolist())}
 
 
 def node_projection(net: DirectedWeightedNetwork, effect: EffectKind) -> np.ndarray:

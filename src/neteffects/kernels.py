@@ -24,10 +24,13 @@ from .network import DirectedWeightedNetwork, EffectKind, NodeSummaries
 __all__ = ["quadruple_kernel_values"]
 
 _PAIRS = tuple(itertools.permutations(range(4), 2))  # (a, b), a != b, row-major
+# float64s per quad of working memory: the (12, m) gather, whose first 4 rows take the
+# values last, and the (5, 4, m) node sums, whose rows first hold the gather's index
+BUFFER_ROWS = 32
 
 
-def quadruple_kernel_values(net: DirectedWeightedNetwork,
-                            quads: np.ndarray) -> dict[EffectKind, np.ndarray]:
+def quadruple_kernel_values(net: DirectedWeightedNetwork, quads: np.ndarray,
+                            buffer: np.ndarray | None = None) -> dict[EffectKind, np.ndarray]:
     """Each effect's 4-tuple kernel on each row of an (m, 4) array of index
     quadruples: one (m,) array per :class:`EffectKind`.
 
@@ -41,20 +44,25 @@ def quadruple_kernel_values(net: DirectedWeightedNetwork,
 
     where P sums e[a,b] e[b,a] + e[a,b]^2 over the 12 ordered pairs and B
     sums same-sender + same-receiver + 2 * two-path over the 4 triples.
+
+    It works in ``buffer``, at least ``BUFFER_ROWS * m`` float64s (new by default),
+    and returns its first 4 m as the rows of a (4, m) array.  Indices must lie in [0, n).
     """
-    n, t = net.n, np.asarray(quads).T
-    base, idx = t * n, np.empty((len(_PAIRS), t.shape[1]), dtype=np.intp)
+    n, t, m = net.n, np.asarray(quads).T, len(quads)
+    buffer = np.empty(BUFFER_ROWS * m) if buffer is None else buffer
+    gather, table = buffer[:12 * m].reshape(12, m), buffer[12 * m:32 * m].reshape(20, m)
+    idx = table[:16].view(np.int64)  # the gather's 12 rows of indices, then 4 of row offsets
+    base = np.multiply(t, n, out=idx[12:])
     for k, (a, b) in enumerate(_PAIRS):
         np.add(base[a], t[b], out=idx[k])
-    x = dict(zip(_PAIRS, net.weights.take(idx)))  # x[a, b] = e[quad[a], quad[b]]
-    del base, idx
-    sums = _node_sums(x, t.shape[1])
+    net.weights.take(idx[:12], out=gather, mode="wrap")  # in range; mode "raise" copies ``out``
+    x = dict(zip(_PAIRS, gather))  # x[a, b] = e[quad[a], quad[b]]
+    sums = _node_sums(x, table.reshape(5, 4, m))
 
     def over_quad(rows):  # the four positions' rows, added in order
         return rows[0] + rows[1] + rows[2] + rows[3]
     kernel_sum = {e: over_quad(sums.motif(e)) / math.factorial(e.arity) for e in EffectKind}
     pair_sum = over_quad(sums.reciprocal_sum) + over_quad(sums.out_sq_sum)
-    del sums  # five (4, m) arrays; kept alive, they would raise the peak memory below
 
     def pair(a, b):  # e[a,b] + e[b,a], one value per quad
         return x[a, b] + x[b, a]
@@ -64,14 +72,15 @@ def quadruple_kernel_values(net: DirectedWeightedNetwork,
     nn = float(n * n - n)
     correction = -(pair_sum / (12.0 * nn) + (n - 2) * triple_sum / (4.0 * nn)
                    + (6.0 - 4.0 * n) * disjoint / nn)
-    # mean over the C(4, k) k-subsets of the quad, k the effect's arity
-    return {e: kernel_sum[e] / math.comb(4, e.arity) - disjoint + correction for e in EffectKind}
+    for e, row in zip(EffectKind, gather):  # mean over the quad's C(4, k) k-subsets, k the arity
+        np.add(kernel_sum[e] / math.comb(4, e.arity) - disjoint, correction, out=row)
+    return dict(zip(EffectKind, gather))
 
 
-def _node_sums(x: dict, m: int) -> NodeSummaries:
-    """:class:`NodeSummaries` of the quads' sub-matrices, as (4, m) arrays, each
-    position's terms added up in increasing order of its partner."""
-    table = np.zeros((5, 4, m))
+def _node_sums(x: dict, table: np.ndarray) -> NodeSummaries:
+    """:class:`NodeSummaries` of the quads' sub-matrices, written into a (5, 4, m)
+    table, each position's terms added up in increasing order of its partner."""
+    table.fill(0.0)
     out_sum, in_sum, out_sq, in_sq, recip = (list(field) for field in table)
     for a, b in _PAIRS:
         sq = x[a, b] * x[a, b]

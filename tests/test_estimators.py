@@ -29,6 +29,17 @@ ALL_EFFECTS = list(EffectKind)
 DIAGNOSABLE = [EffectKind.RECIPROCITY, EffectKind.SENDER_RECEIVER]
 
 
+def assert_near_the_stacked_moments(moments, net, tuples):
+    """Each effect's reduced moments within README's 1e-12 of numpy's mean and
+    std of the oracle's kernel values on ``tuples``, relative to the largest
+    |kernel value| or mean_edge squared, whichever is larger."""
+    mu = mean_edge(net)
+    for effect, values in zip(EffectKind, oracles.stack_kernel_values(net.weights, tuples)):
+        bound = 1e-12 * max(np.abs(values).max(), mu * mu)
+        assert abs(moments[effect].eta_hat - values.mean()) <= bound, effect
+        assert abs(moments[effect].sigma_hat - values.std()) <= bound, effect
+
+
 class TestMeanEdge:
     def test_constant(self):
         assert mean_edge(constant_net(5, 3.0)) == pytest.approx(3.0)
@@ -242,19 +253,21 @@ class TestSampleQuadruples:
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(4, 60), exponent=st.floats(1.0, 2.0, exclude_max=True),
            seed=st.integers(0, 2**32 - 1))
-    def test_streamed_and_materialized_samples_reduce_alike(self, block, n, exponent, seed):
-        # at n = 4 most rows collide, which forces many redraw rounds
+    def test_drawn_and_held_samples_reduce_alike(self, block, n, exponent, seed):
+        # at n = 4 most rows collide, which forces many redraw rounds; a drawn
+        # sample reduces in its draw's block order, a held one in row order
         net = make_random_net(n, seed % 1000)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(estimators, "KERNEL_BLOCK", block)
             drawn = sample_quadruples(n, exponent, seed)
-            streamed = repr(reduced_estimate(net, drawn))  # before .tuples is first read
+            streamed = reduced_estimate(net, drawn)  # before .tuples is first read
             tuples = drawn.tuples
-            held = QuadrupleSample(tuples=tuples.copy(), n=n)
-            assert repr(reduced_estimate(net, held)) == streamed
-            assert repr(reduced_estimate(net, drawn)) == streamed  # now reduced as slices
+            assert repr(reduced_estimate(net, drawn)) == repr(streamed)  # still the draw replayed
+            held = reduced_estimate(net, QuadrupleSample(tuples=tuples.copy(), n=n))
         expected = oracles.reference_sample_quadruples(n, exponent, seed)
         assert tuples.tobytes() == expected.tobytes()
+        assert_near_the_stacked_moments(streamed, net, expected)
+        assert_near_the_stacked_moments(held, net, expected)
 
 
 class TestReducedEstimate:
@@ -286,48 +299,70 @@ class TestReducedEstimate:
             complete = complete_estimate(net, effect).value
             assert abs(moment.eta_hat - complete) < 5 * se
 
-    @pytest.mark.parametrize("n", [60, 300])
-    def test_blocks_keep_every_bit(self, n, monkeypatch):
+    @pytest.mark.parametrize("n, exponent", [(24, 1.18359375), (60, 1.5), (300, 1.5)])
+    @pytest.mark.parametrize("block", [1, 7, 8, 8192])
+    def test_any_block_size_keeps_the_moments_within_tolerance(self, n, exponent, block,
+                                                               monkeypatch):
+        # m = 43 = 6 * 7 + 1 at n = 24: blocks of 7 leave the last quadruple alone in its block
         net = make_random_net(n, seed=n)
-        sample = sample_quadruples(n, 1.5, seed=2)
-        whole = repr(reduced_estimate(net, sample))
         calls = []
         kernel = estimators.quadruple_kernel_values
 
-        def counted(net, quads):
+        def counted(net, quads, *buffer):
             calls.append(len(quads))
-            return kernel(net, quads)
+            return kernel(net, quads, *buffer)
 
-        monkeypatch.setattr(estimators, "KERNEL_BLOCK", 7)
+        monkeypatch.setattr(estimators, "KERNEL_BLOCK", block)
         monkeypatch.setattr(estimators, "quadruple_kernel_values", counted)
-        assert repr(reduced_estimate(net, sample)) == whole
-        assert len(calls) == -(-sample.m // 7) and max(calls) == 7 and sum(calls) == sample.m
+        drawn = sample_quadruples(n, exponent, seed=2)
+        for sample in (drawn, QuadrupleSample(tuples=drawn.tuples, n=n)):
+            calls.clear()
+            assert_near_the_stacked_moments(reduced_estimate(net, sample), net, drawn.tuples)
+            assert len(calls) == -(-sample.m // block) and sum(calls) == sample.m
+            assert max(calls) == min(block, sample.m)
 
-    def test_a_one_row_block_keeps_every_bit(self, monkeypatch):
-        # m = 43 = 6 * 7 + 1: blocks of 7 leave the last quadruple alone in its block
-        net = make_random_net(24, seed=111)
-        reprs = set()
-        for block in (7, 8, 8192):
-            monkeypatch.setattr(estimators, "KERNEL_BLOCK", block)
-            drawn = sample_quadruples(24, 1.18359375, 111)
-            reprs.add(repr(reduced_estimate(net, drawn)))
-            reprs.add(repr(reduced_estimate(net, QuadrupleSample(tuples=drawn.tuples, n=24))))
-        assert drawn.m == 43 and len(reprs) == 1
+    @pytest.mark.parametrize("block", [7, 8192])
+    def test_a_given_block_size_keeps_every_bit(self, block, monkeypatch):
+        # at n = 300, about 2% of the rows are redrawn, so a drawn sample's blocks
+        # hold other rows, in another order, than the same sample held
+        monkeypatch.setattr(estimators, "KERNEL_BLOCK", block)
+        net = make_random_net(300, seed=3)
+        drawn = sample_quadruples(300, 1.5, seed=2)
+
+        def reduced(sample):  # twice, and on a copy, a deep copy and a pickled round trip
+            twins = [sample, sample, copy.copy(sample), copy.deepcopy(sample),
+                     pickle.loads(pickle.dumps(sample))]
+            return {repr(reduced_estimate(net, twin)) for twin in twins}
+
+        before = reduced(drawn)
+        held = QuadrupleSample(tuples=drawn.tuples, n=300)  # reads .tuples
+        assert len(before) == 1 and reduced(drawn) == before and len(reduced(held)) == 1
 
     def test_one_block_of_temporaries(self):
-        # at m = 251,189 the kernel values take 8 MB; one gather of every
-        # quadruple at once peaked at 88 MB, blocks of 32,768 at 20.6 MB
+        # at m = 251,189 the (4, m) kernel values took 8 MB, a peak of 11.2 MB;
+        # one gather of every quadruple at once peaked at 88 MB
         net = make_random_net(1000, seed=1)
         sample = sample_quadruples(1000, 1.8, seed=3)
-        assert traced_peak(reduced_estimate, net, sample) < 13e6
+        assert traced_peak(reduced_estimate, net, sample) < 5e6
 
-    def test_spread_takes_no_second_array(self):
-        # at m = 10**6 the kernel values take 32 MB; numpy.std's rows - mean
-        # held another 32 MB, a peak of 64.5 MB (44.6 MB with blocks of 32,768)
+    def test_peak_does_not_grow_with_m(self):
+        # holding the (4, m) kernel values, m = 10**6 peaked at 34.8 MB
         net = make_random_net(60, seed=4)
-        tuples = np.resize(sample_quadruples(60, 1.9, seed=1).tuples, (10**6, 4))
-        sample = QuadrupleSample(tuples=tuples, n=60)
-        assert traced_peak(reduced_estimate, net, sample) < 38e6
+        tuples = sample_quadruples(60, 1.9, seed=1).tuples
+        small, large = (QuadrupleSample(tuples=np.resize(tuples, (m, 4)), n=60)
+                        for m in (10**4, 10**6))
+        assert abs(traced_peak(reduced_estimate, net, large)
+                   - traced_peak(reduced_estimate, net, small)) < 0.5e6
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_an_infinite_spread_stays_infinite_across_blocks(self, monkeypatch):
+        # at 1e80 the kernel values are finite and their squared deviations overflow;
+        # merging the first block into zero moments would take inf * 0 = nan
+        monkeypatch.setattr(estimators, "KERNEL_BLOCK", 7)
+        w = make_random_net(60, seed=0).weights * 1e80
+        moments = reduced_estimate(DirectedWeightedNetwork(w), sample_quadruples(60, 1.2, 0))
+        for moment in moments.values():
+            assert math.isfinite(moment.eta_hat) and moment.sigma_hat == math.inf
 
     @pytest.mark.parametrize("n, seed", [(7, 0), (60, 1)])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -336,7 +371,8 @@ class TestReducedEstimate:
                                                                      offset):
         w = make_random_net(n, seed).weights * scale + offset
         np.fill_diagonal(w, 0.0)
-        sample = sample_quadruples(n, 1.5, seed)
+        # held, so both samples reduce their rows in the same blocks and order
+        sample = QuadrupleSample(tuples=sample_quadruples(n, 1.5, seed).tuples, n=n)
         p = np.random.default_rng(seed + 10).permutation(n)
         relabelled = np.empty_like(w)
         relabelled[np.ix_(p, p)] = w  # node i is node p[i]
