@@ -32,10 +32,10 @@ __all__ = [
 ]
 
 # Quadruples whose sub-matrices reduced_estimate gathers at a time, in one buffer
-# of kernels.BUFFER_ROWS float64s per quad (2.1 MB).  At n = 1000, lambda = 1.8,
-# blocks of 4,096, 8,192, 16,384 and 32,768 took a median of 90, 78, 73 and 72 ms
-# per warm call and peaked at 1.6, 3.1, 6.2 and 12.4 MB (3 fresh processes each,
-# 7 calls, one BLAS thread, 2-vCPU Xeon VM).
+# of kernels.BUFFER_ROWS float64s per quad (1.6 MB).  At n = 1000, lambda = 1.8, with
+# the earlier 2.1 MB node-sum kernel, blocks of 4,096, 8,192, 16,384 and 32,768 took
+# a median of 90, 78, 73 and 72 ms per warm call and peaked at 1.6, 3.1, 6.2 and
+# 12.4 MB (3 fresh processes each, 7 calls, one BLAS thread, 2-vCPU Xeon VM).
 KERNEL_BLOCK = 8_192
 # A quadruple as one 32-byte item: numpy selects rows of these about twice as
 # fast as rows of an (m, 4) int64 array.

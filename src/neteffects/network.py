@@ -323,8 +323,8 @@ class NodeSummaries:
     * ``reciprocal_sum[i]`` = sum_j e[i,j] * e[j,i]
 
     The complete estimators and the local effects take these sums from
-    :meth:`of`; they and the quadruple kernel, which adds its within-quad
-    sums up itself, take the motif sums formed from them from here.
+    :meth:`of`, and the motif sums formed from them from here; the
+    quadruple kernel forms its within-quad sums itself.
     """
 
     out_sum: np.ndarray

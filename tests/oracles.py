@@ -8,6 +8,7 @@ accumulations, so agreement between the two is a real check.
 import csv
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,53 +25,72 @@ def pair_mean(w, i, j):
     return (w[i, j] + w[j, i]) / 2.0
 
 
+# The kernel's formulas below take integer constants only, so on an object array
+# of Fractions they evaluate exactly; on floats they give the same bits as float
+# constants would.
 def recip(w, i, j):
     return w[i, j] * w[j, i]
 
 
 def sender(w, i, j, k):
-    return (w[i, j] * w[i, k] + w[j, i] * w[j, k] + w[k, i] * w[k, j]) / 3.0
+    return (w[i, j] * w[i, k] + w[j, i] * w[j, k] + w[k, i] * w[k, j]) / 3
 
 
 def receiver(w, i, j, k):
-    return (w[i, j] * w[k, j] + w[j, i] * w[k, i] + w[i, k] * w[j, k]) / 3.0
+    return (w[i, j] * w[k, j] + w[j, i] * w[k, i] + w[i, k] * w[j, k]) / 3
 
 
 def two_path(w, i, j, k):
-    return sum(w[a, b] * w[b, c] for a, b, c in itertools.permutations((i, j, k))) / 6.0
+    return sum(w[a, b] * w[b, c] for a, b, c in itertools.permutations((i, j, k))) / 6
 
 
 def disjoint(w, quad):
-    return sum(w[a, b] * w[c, d] for a, b, c, d in itertools.permutations(quad)) / 24.0
+    return sum(w[a, b] * w[c, d] for a, b, c, d in itertools.permutations(quad)) / 24
 
 
 def correction(w, quad, n):
     """Literal ordered-tuple enumeration of the finite-sample correction."""
     pair_sum = sum(w[a, b] * w[b, a] + w[a, b] ** 2 for a, b in itertools.permutations(quad, 2))
     triple_sum = sum(
-        sender(w, a, b, c) + receiver(w, a, b, c) + 2.0 * two_path(w, a, b, c)
+        sender(w, a, b, c) + receiver(w, a, b, c) + 2 * two_path(w, a, b, c)
         for a, b, c in itertools.permutations(quad, 3)
     )
     nn = n * n - n
     return -(
-        pair_sum / (12.0 * nn)
-        + (n - 2) * triple_sum / (24.0 * nn)
-        + (6.0 - 4.0 * n) * disjoint(w, quad) / nn
+        pair_sum / (12 * nn)
+        + (n - 2) * triple_sum / (24 * nn)
+        + (6 - 4 * n) * disjoint(w, quad) / nn
     )
 
 
 TRIPLE_KERNELS = {"same_sender": sender, "same_receiver": receiver, "sender_receiver": two_path}
 
 
+def motif_mean(effect, w, quad):
+    """The mean pair (reciprocity) or triple kernel over the quad."""
+    if effect is EffectKind.RECIPROCITY:
+        return sum(recip(w, a, b) for a, b in itertools.combinations(quad, 2)) / 6
+    triple = TRIPLE_KERNELS[effect.value]
+    return sum(triple(w, *t) for t in itertools.combinations(quad, 3)) / 4
+
+
 def quadruple_kernel(effect, w, quad, n):
     """The 4-tuple kernel: the mean pair (reciprocity) or triple kernel over
     the quad, minus the disjoint-pair product, plus the correction."""
-    if effect is EffectKind.RECIPROCITY:
-        base = sum(recip(w, a, b) for a, b in itertools.combinations(quad, 2)) / 6.0
-    else:
-        triple = TRIPLE_KERNELS[effect.value]
-        base = sum(triple(w, *t) for t in itertools.combinations(quad, 3)) / 4.0
-    return base - disjoint(w, quad) + correction(w, quad, n)
+    return motif_mean(effect, w, quad) - disjoint(w, quad) + correction(w, quad, n)
+
+
+def exact_kernel_values(w, quads):
+    """The four quadruple kernels, in :class:`EffectKind` order, of each row of
+    an (m, 4) index array, as exact Fractions: :func:`quadruple_kernel`'s terms
+    on the quad's sub-matrix of the float weights, each converted exactly, with
+    the two terms that do not depend on the effect taken once per quad."""
+    n, values = w.shape[0], []
+    for quad in quads:
+        sub = np.array([[Fraction(float(w[a, b])) for b in quad] for a in quad], dtype=object)
+        shared = correction(sub, range(4), n) - disjoint(sub, range(4))
+        values.append([motif_mean(effect, sub, range(4)) + shared for effect in EffectKind])
+    return [list(column) for column in zip(*values)]
 
 
 def naive_mean_edge(w):

@@ -364,6 +364,22 @@ class TestReducedEstimate:
         for moment in moments.values():
             assert math.isfinite(moment.eta_hat) and moment.sigma_hat == math.inf
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(5, 80), seed=st.integers(0, 2**32 - 1),
+           exponent=st.sampled_from([1.0, 1.5, 1.9]))
+    def test_a_shift_of_every_weight_keeps_every_bit(self, n, seed, exponent):
+        # on a 2^-10 grid every shifted weight and every within-quad difference is
+        # exact, and each quad is shifted by one of its own weights
+        rng = np.random.default_rng(seed)
+        w = np.round(rng.normal(size=(n, n)) * 1024.0) / 1024.0
+        np.fill_diagonal(w, 0.0)
+        sample = sample_quadruples(n, exponent, seed)
+        expected = repr(reduced_estimate(DirectedWeightedNetwork(w), sample))
+        for shift in (2.0**20, 2.0**23, 2.0**26, 1e8):
+            shifted = w + shift
+            np.fill_diagonal(shifted, 0.0)
+            assert repr(reduced_estimate(DirectedWeightedNetwork(shifted), sample)) == expected, shift
+
     @pytest.mark.parametrize("n, seed", [(7, 0), (60, 1)])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("offset", [0.0, 1e3])

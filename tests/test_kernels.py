@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from neteffects import DirectedWeightedNetwork, EffectKind, complete_estimate, sample_quadruples
 from neteffects.kernels import quadruple_kernel_values
-from .oracles import (correction, disjoint, pair_mean, quadruple_kernel, receiver, recip, sender,
-                      stack_kernel_values, two_path)
+from .oracles import (correction, disjoint, exact_kernel_values, pair_mean, quadruple_kernel, receiver,
+                      recip, sender, two_path)
 from .conftest import constant_net, make_random_net, traced_peak
 
 W3 = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 4.0], [5.0, 6.0, 0.0]])
@@ -151,22 +152,23 @@ class TestQuadrupleKernel:
 
     # m = 8,192 and 8,193 are one estimators.KERNEL_BLOCK and one more
     @pytest.mark.parametrize("m", [1, 7, 8_192, 8_193])
-    def test_matches_the_stack_layout(self, m):
-        # the position-major gather sums a quad's squared out-weights in
-        # another order than the (m, 4, 4) stack does, so bits may move
+    def test_matches_the_exact_rational_kernel(self, m):
+        # every quad is shifted by one of its own weights, so the error stays a
+        # few units in the last place of the largest kernel value at any offset;
+        # a row keeps its bits in any batch (below), so 32 rows stand for a long batch
         n = 60
         base = make_random_net(n, seed=m).weights
         quads = np.random.default_rng(m).permuted(np.tile(np.arange(n), (m, 1)), axis=1)[:, :4]
+        rows = np.unique(np.linspace(0, m - 1, min(m, 32)).astype(np.int64))
         for scale in (1.0, 1e-3, 1e5):
             for offset in (0.0, 1e3, 1e8):
                 w = base * scale + offset
                 np.fill_diagonal(w, 0.0)
                 net = DirectedWeightedNetwork(w)
-                mu = net.weight_sum / (n * (n - 1))
                 values = quadruple_kernel_values(net, quads)
-                for effect, expected in zip(EffectKind, stack_kernel_values(net.weights, quads)):
-                    bound = 1e-15 * max(np.abs(expected).max(), mu * mu)
-                    assert np.abs(values[effect] - expected).max() <= bound, (effect, scale, offset)
+                for effect, exact in zip(EffectKind, exact_kernel_values(net.weights, quads[rows])):
+                    error = max(abs(Fraction(float(v)) - x) for v, x in zip(values[effect][rows], exact))
+                    assert error <= 1e-14 * max(map(abs, exact)), (effect, scale, offset)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(4, 60), m=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
@@ -185,8 +187,8 @@ class TestQuadrupleKernel:
                 assert batch[effect][k].tobytes() == alone[effect][0].tobytes(), (k, effect)
 
     def test_one_block_peaks_below_a_sixteen_entry_gather(self):
-        # 8,192 quads, one estimators.KERNEL_BLOCK: the 12 gathered rows take
-        # 0.79 MB and the five (4, m) node sums 1.3 MB; a (4, 4, m) gather with
+        # 8,192 quads, one estimators.KERNEL_BLOCK: the 12 gathered rows and the
+        # 12 work rows take 0.79 MB each (1.58 MB in all); a (4, 4, m) gather with
         # einsum sums peaked at 3.15 MB
         net = make_random_net(1000, seed=5)
         quads = sample_quadruples(1000, 1.8, 3).tuples[:8192]
