@@ -75,7 +75,7 @@ class QuadrupleSample:
             raise ValueError("a quadruple sample needs at least one quadruple, got m = 0")
         if t.min() < 0 or t.max() >= n:
             raise ValueError("tuple indices out of range")
-        if _repeats_an_index(t).any():
+        if not _distinct_rows(t).all():
             raise ValueError("each quadruple must have 4 distinct indices")
         t.setflags(write=False)
         vars(self).update(n=n, m=t.shape[0], _seed=None, _tuples=t)
@@ -101,9 +101,20 @@ class QuadrupleSample:
     @property
     def tuples(self) -> np.ndarray:
         if self._tuples is None:  # drawn: build the array once, from the one draw
-            t = np.empty((self.m, 4), dtype=np.int64)
-            for positions, quads in _draw(self.n, self.m, self._seed):
-                t[positions] = quads
+            n, m, seed = self.n, self.m, self._seed
+            valid = np.concatenate([ok for flags, _ in _draw(n, m, seed) for ok in flags])
+            rounds = [np.flatnonzero(valid[:m])]  # rows 0 .. m-1 fill their own positions
+            targets, used = np.flatnonzero(~valid[:m]), m
+            while targets.size:  # each later round redraws, in order, the positions left
+                ok = valid[used:used + targets.size]
+                rounds.append(targets[ok])
+                targets, used = targets[~ok], used + ok.size
+            positions = np.concatenate(rounds)
+            del rounds  # before the (m, 4) array
+            t, start = np.empty((m, 4), dtype=np.int64), 0
+            for _, quads in _draw(n, m, seed):  # the valid rows, in stream order
+                t[positions[start:start + len(quads)]] = quads
+                start += len(quads)
             t.setflags(write=False)
             vars(self)["_tuples"] = t
         return self._tuples
@@ -191,47 +202,46 @@ def sample_quadruples(n: int, subsample_exponent: float, seed: int) -> Quadruple
 
 
 def _draw(n: int, m: int, seed: int):
-    """:func:`sample_quadruples`' draw, replayed from its seed as (positions,
-    quads) blocks of ``KERNEL_BLOCK`` rows without a repeated index, the last
-    block shorter.
+    """:func:`sample_quadruples`' draw, replayed from its seed: the first m rows with 4
+    distinct indices of the seed's row stream ``rng.integers(0, n, (k, 4))``, in stream
+    order, as (flags, quads) blocks of ``KERNEL_BLOCK`` rows, the last one shorter.
 
-    Each round draws a row for every position still without a valid one, in
-    row order: ``rng.integers`` gives the same stream in pieces as at once.
-    The rows are drawn in pieces that fill a block queue.  A row collides with
-    probability below 6/n, so few positions await a redraw.  The yielded
-    arrays are reused: use each block before taking the next.
+    ``rng.integers`` gives the same stream in pieces as at once.  So a block takes one
+    call, overdrawn by the chance 1 - (n-1)(n-2)(n-3)/n^3 that a row repeats an index:
+    the call falls short with chance below 1% (about 0.1% for a full block), and then
+    the block draws again.  The valid rows are compacted in the block's storage, the
+    first call's own array; those beyond the block are spare and start the next one,
+    which draws only when they run out.  ``flags`` holds the validity of each row
+    drawn for the block, one array per call, in stream order, from which
+    ``QuadrupleSample.tuples`` places the rows.  The yielded arrays are reused: use
+    each block before taking the next.
     """
-    size = min(KERNEL_BLOCK, m)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    positions, quads = np.empty(size, dtype=np.int64), np.empty((size, 4), dtype=np.int64)
-    queued, filled = quads.view(_ROW).ravel(), 0
-    targets, count = None, m  # None: the first round, positions 0 .. m - 1
-    while count:
-        collided, start = [np.empty(0, dtype=np.int64)], 0
-        while start < count:
-            stop = min(count, start + size - filled)
-            part = np.arange(start, stop) if targets is None else targets[start:stop]
-            drawn = rng.integers(0, n, size=(len(part), 4), dtype=np.int64)
-            bad = _repeats_an_index(drawn)
-            valid = part[~bad]
-            end = filled + len(valid)
-            positions[filled:end], queued[filled:end] = valid, drawn.view(_ROW).ravel()[~bad]
-            filled = end
-            collided.append(part[bad])
-            start = stop
-            if filled == size:
-                yield positions, quads
-                filled = 0
-        targets = np.concatenate(collided)
-        count = targets.size
-    if filled:
-        yield positions[:filled], quads[:filled]
+    valid = (n - 1) * (n - 2) * (n - 3) / n**3  # chance that a row has 4 distinct indices
+    store, start, stop = None, 0, 0  # store[start:stop]: valid rows not yet yielded
+    for first in range(0, m, KERNEL_BLOCK):
+        need, flags = min(KERNEL_BLOCK, m - first), []
+        while stop - start < need:
+            short = need - (stop - start)  # k rows hold short + 1 valid ones 3 sd below their mean
+            k = math.ceil((short + 3.0 * math.sqrt(short * (1.0 - valid)) + 1.0) / valid)
+            drawn = rng.integers(0, n, size=(k, 4), dtype=np.int64)
+            ok = _distinct_rows(drawn)
+            if store is None:  # sized for a whole block, it holds every later call's rows too
+                store, rows = drawn, drawn.view(_ROW).ravel()
+            rows[:stop - start] = rows[start:stop]  # spare rows to the front
+            start, stop, kept = 0, stop - start, np.count_nonzero(ok)
+            rows[stop:stop + kept] = drawn.view(_ROW).ravel()[ok]
+            stop += kept
+            flags.append(ok)
+            del drawn  # before the next draw: one fresh draw beside the storage
+        yield flags, store[start:start + need]
+        start += need
 
 
-def _repeats_an_index(t: np.ndarray) -> np.ndarray:
-    """Per row of an (m, 4) index array, whether two of its entries are equal."""
+def _distinct_rows(t: np.ndarray) -> np.ndarray:
+    """Per row of an (m, 4) index array, whether its 4 entries are distinct."""
     a, b, c, d = t.T
-    return (a == b) | (a == c) | (a == d) | (b == c) | (b == d) | (c == d)
+    return (a != b) & (a != c) & (a != d) & (b != c) & (b != d) & (c != d)
 
 
 def reduced_estimate(

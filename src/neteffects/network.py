@@ -131,7 +131,7 @@ class DirectedWeightedNetwork:
             total = float(w.sum())
         if not math.isfinite(total) and not np.isfinite(w).all():
             raise NonFiniteWeightError("weight matrix contains NaN or infinite entries")
-        if np.any(np.diagonal(w) != 0.0):
+        if np.count_nonzero(w.diagonal()):
             raise SelfLoopError("diagonal entries must be exactly zero (no self-loops)")
         labels = None if self.labels is None else tuple(self.labels)
         if labels is not None and not len(labels) == len(set(labels)) == n:

@@ -120,17 +120,39 @@ def _check_design(setting: str, config: str, n: int, c_squared: float) -> None:
         raise InvalidSpecError(f"c_squared must be finite and nonnegative, got {c_squared!r}")
 
 
-def _draw_latents(config: str, rng: np.random.Generator, n: int, want: str) -> np.ndarray:
-    """One i.i.d. latent block: node vector or symmetric/full matrix."""
-    size = (n, n) if want in ("pair", "noise") else n
+def _draw_latents(config: str, rng: np.random.Generator, n: int, want: str,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """One i.i.d. latent block: a node vector, or an n x n pair latent or noise,
+    written to ``out`` when it is given.  Node and pair latents are N(1, 1) and
+    the noise N(0, 1) under the normal config; all are Poisson(1) otherwise.
+
+    A normal block is ``standard_normal`` with the location added in place: the
+    bits of ``rng.normal(loc, 1.0, size)``, except that a noise draw of exactly
+    -0.0 stays -0.0.  A matrix latent consumes n^2 draws, the pair latent's lower
+    triangle included though only its upper one is used, so that seeds keep
+    their networks.
+    """
+    size = n if want == "node" else (n, n)
     if config == "normal":
-        values = rng.normal(0.0, 1.0, size) if want == "noise" else rng.normal(1.0, 1.0, size)
-    else:
-        values = rng.poisson(1.0, size).astype(np.float64)
-    if want == "pair":  # symmetric pair-level latent: draw upper triangle, mirror
-        upper = np.triu(values, 1)
-        values = upper + upper.T
-    return values
+        values = rng.standard_normal(size, out=out)
+        if want != "noise":
+            values += 1.0
+        return values
+    if out is None:
+        return rng.poisson(1.0, size).astype(np.float64)
+    np.copyto(out, rng.poisson(1.0, size))
+    return out
+
+
+def _add_pair(base, pair: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``base`` plus the symmetric pair latent, written to ``out``: entries (i, j) and
+    (j, i) both take pair[min(i, j), max(i, j)], its upper triangle mirrored, by two
+    masked sums and no copy of a triangle.  Each sum covers the diagonal, which the
+    caller zeroes."""
+    lower = np.tri(len(pair), dtype=bool)  # i >= j
+    np.add(base, pair.T, out=out, where=lower)
+    np.add(base, pair, out=out, where=lower.T)
+    return out
 
 
 def generate(
@@ -146,7 +168,12 @@ def generate(
     The degeneracy-case generators always use the normal-configuration
     latent laws (node and pair latents N(1, 1), noise N(0, 1)); the
     ``config`` argument selects normal or Poisson latents for settings
-    a, b, and c only.
+    a, b, and c only.  Node latents are drawn first, then the pair latent
+    (which every degeneracy case draws, even where its formula does not use
+    it), then the noise; each matrix latent takes n^2 draws (see
+    ``_draw_latents``), so that a seed keeps its network.  The weights are
+    built in place, in each formula's order of operations, beside at most one
+    n x n latent buffer.
     """
     _check_design(setting, config, n, c_squared)
     if not isinstance(seed, np.random.SeedSequence):
@@ -154,34 +181,39 @@ def generate(
     rng = np.random.default_rng(seed)
     c = 0.0 if null_case else math.sqrt(c_squared)
 
-    if setting == "a":
+    if setting == "b":  # the noise is the weights' own buffer
         a = _draw_latents(config, rng, n, "node")
-        b = _draw_latents(config, rng, n, "node")
-        gamma = _draw_latents(config, rng, n, "pair")
-        eps = _draw_latents(config, rng, n, "noise")
-        w = a[:, None] + b[None, :] + c * gamma + eps
-    elif setting == "b":
-        a = _draw_latents(config, rng, n, "node")
-        eps = _draw_latents(config, rng, n, "noise")
-        w = c * a[:, None] + eps
-    elif setting == "c":
-        a = _draw_latents(config, rng, n, "node")
-        eps = _draw_latents(config, rng, n, "noise")
-        scale, shift = (1.0, 1.0) if null_case else (c, 0.0)
-        centered = a - shift
-        w = scale * np.outer(centered, centered) + eps
+        w = _draw_latents(config, rng, n, "noise")
+        w += (c * a)[:, None]
     else:
-        x = _draw_latents("normal", rng, n, "node")
-        gamma = _draw_latents("normal", rng, n, "pair")
-        eps = _draw_latents("normal", rng, n, "noise")
-        if setting == "degenerate_sender_receiver":
-            w = x[:, None] + gamma + eps
-        elif setting == "nondegenerate_sender_receiver":
-            w = x[:, None] * (x[None, :] - 0.5) + eps
-        elif setting == "degenerate_reciprocity":
-            w = gamma + eps
-        else:  # nondegenerate_reciprocity
-            w = x[:, None] - x[None, :] + np.sqrt(2.0) * gamma + eps
+        latent = None  # the n x n buffer the noise reuses
+        if setting == "a":
+            a = _draw_latents(config, rng, n, "node")
+            w = np.add.outer(a, _draw_latents(config, rng, n, "node"))  # a_i + b_j
+            latent = _draw_latents(config, rng, n, "pair")
+            latent *= c
+            _add_pair(w, latent, w)
+        elif setting == "c":
+            a = _draw_latents(config, rng, n, "node")
+            scale, shift = (1.0, 1.0) if null_case else (c, 0.0)
+            centered = a - shift
+            w = np.multiply.outer(centered, centered)
+            w *= scale
+        else:
+            config = "normal"  # for the noise too
+            x = _draw_latents(config, rng, n, "node")
+            latent = _draw_latents(config, rng, n, "pair")
+            if setting == "degenerate_sender_receiver":
+                w = _add_pair(x[:, None], latent, np.empty((n, n)))
+            elif setting == "nondegenerate_sender_receiver":
+                w = np.multiply.outer(x, x - 0.5)
+            elif setting == "degenerate_reciprocity":
+                w = _add_pair(0.0, latent, np.empty((n, n)))
+            else:  # nondegenerate_reciprocity
+                w = np.subtract.outer(x, x)
+                latent *= np.sqrt(2.0)
+                _add_pair(w, latent, w)
+        w += _draw_latents(config, rng, n, "noise", out=latent)
     np.fill_diagonal(w, 0.0)
     return DirectedWeightedNetwork(w)
 
@@ -193,8 +225,9 @@ def _run_replicate(spec: SimulationSpec, rep: int) -> tuple[bool, str, float] | 
     replicate owns RNG streams derived from (master_seed, rep), so
     results do not depend on execution order or thread count.
     """
-    root = np.random.SeedSequence((spec.master_seed, rep))
-    net_stream, subsample_stream = root.spawn(2)
+    # SeedSequence((master_seed, rep)).spawn(2), without mixing the root's own pool
+    net_stream, subsample_stream = (np.random.SeedSequence((spec.master_seed, rep), spawn_key=(k,))
+                                    for k in range(2))
     net = generate(spec.setting, spec.config, spec.n, spec.c_squared, spec.null_case, net_stream)
     try:
         report = test_effect(

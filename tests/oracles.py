@@ -284,3 +284,67 @@ def reference_sample_quadruples(n, subsample_exponent, seed):
         if not collided.any():
             return tuples
         tuples[collided] = rng.integers(0, n, size=(int(collided.sum()), 4), dtype=np.int64)
+
+
+def reference_valid_rows(n, m, seed):
+    """The first m rows with 4 distinct indices, in stream order, of one call
+    ``default_rng(SeedSequence(seed)).integers(0, n, (k, 4))``, k doubled until
+    the call holds m of them (a longer call starts with the same rows)."""
+    k = 2 * m + 64
+    while True:
+        rows = np.random.default_rng(np.random.SeedSequence(seed)).integers(0, n, (k, 4), dtype=np.int64)
+        valid = rows[[len(set(row)) == 4 for row in rows.tolist()]]
+        if len(valid) >= m:
+            return valid[:m]
+        k *= 2
+
+
+def reference_draw_latents(config, rng, n, want):
+    """One latent block as ``rng.normal(loc, 1)`` or ``rng.poisson(1)`` draws it;
+    a pair latent's upper triangle mirrored by ``np.triu``."""
+    size = (n, n) if want in ("pair", "noise") else n
+    if config == "normal":
+        values = rng.normal(0.0, 1.0, size) if want == "noise" else rng.normal(1.0, 1.0, size)
+    else:
+        values = rng.poisson(1.0, size).astype(np.float64)
+    if want == "pair":
+        upper = np.triu(values, 1)
+        values = upper + upper.T
+    return values
+
+
+def reference_generate(setting, config, n, c_squared, null_case, seed):
+    """The weights of ``simulation.generate``'s network, each setting's formula as
+    one out-of-place expression over its latents, drawn in order."""
+    rng = np.random.default_rng(seed)
+    c = 0.0 if null_case else math.sqrt(c_squared)
+    if setting == "a":
+        a = reference_draw_latents(config, rng, n, "node")
+        b = reference_draw_latents(config, rng, n, "node")
+        gamma = reference_draw_latents(config, rng, n, "pair")
+        eps = reference_draw_latents(config, rng, n, "noise")
+        w = a[:, None] + b[None, :] + c * gamma + eps
+    elif setting == "b":
+        a = reference_draw_latents(config, rng, n, "node")
+        eps = reference_draw_latents(config, rng, n, "noise")
+        w = c * a[:, None] + eps
+    elif setting == "c":
+        a = reference_draw_latents(config, rng, n, "node")
+        eps = reference_draw_latents(config, rng, n, "noise")
+        scale, shift = (1.0, 1.0) if null_case else (c, 0.0)
+        centered = a - shift
+        w = scale * np.outer(centered, centered) + eps
+    else:
+        x = reference_draw_latents("normal", rng, n, "node")
+        gamma = reference_draw_latents("normal", rng, n, "pair")
+        eps = reference_draw_latents("normal", rng, n, "noise")
+        if setting == "degenerate_sender_receiver":
+            w = x[:, None] + gamma + eps
+        elif setting == "nondegenerate_sender_receiver":
+            w = x[:, None] * (x[None, :] - 0.5) + eps
+        elif setting == "degenerate_reciprocity":
+            w = gamma + eps
+        else:
+            w = x[:, None] - x[None, :] + np.sqrt(2.0) * gamma + eps
+    np.fill_diagonal(w, 0.0)
+    return w

@@ -14,7 +14,9 @@ from neteffects import (
     generate,
     monte_carlo,
 )
-from neteffects.simulation import _draw_latents, _run_replicate, default_effect
+from neteffects.simulation import SETTINGS, _draw_latents, _run_replicate, default_effect
+
+from . import oracles
 
 
 class TestSimulationSpec:
@@ -156,6 +158,20 @@ class TestGenerate:
         assert net.n == 12
         assert np.all(np.diag(net.weights) == 0.0)
         assert np.isfinite(net.weights).all()
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    @pytest.mark.parametrize("config", ["normal", "poisson"])
+    def test_matches_the_reference_formulas_bit_for_bit(self, setting, config):
+        # generate draws standard normals and adds each location in place, where the
+        # reference draws normal(loc, 1) = loc + 1 * z.  The two differ only on a noise draw
+        # of exactly -0.0 (chance about 2**-53), which stays -0.0 where the reference gives
+        # 0.0; the weight then differs only if the other terms sum to zero as well.
+        for n in (5, 33, 100):
+            for c_squared, null_case in ((0.0, True), (0.05, False), (0.0, False)):
+                for seed in (n, np.random.SeedSequence((n, 7))):
+                    expected = oracles.reference_generate(setting, config, n, c_squared, null_case, seed)
+                    net = generate(setting, config, n, c_squared, null_case, seed)
+                    assert net.weights.tobytes() == expected.tobytes()
 
     def test_setting_b_null_is_pure_noise(self):
         # under the null the same-sender signal is absent: columns of the
