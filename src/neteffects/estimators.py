@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,80 +52,54 @@ class EffectEstimate:
     method: str  # "complete" or "reduced"
 
 
+@dataclass(frozen=True, eq=False)
 class QuadrupleSample:
-    """A with-replacement sample of m >= 1 node quadruples on n nodes.
+    """A with-replacement sample of m >= 1 quadruples on n >= 4 nodes, drawn from
+    ``seed`` as :func:`sample_quadruples` draws it.  :func:`reduced_estimate` replays
+    the draw block by block, so no (m, 4) array exists until ``tuples`` is first read,
+    which builds it from the same draw: read-only int64 rows of 4 distinct indices.
+    Samples are immutable and compare by identity; a copy, a pickle and the ``repr``
+    rebuild one from (n, m, seed) alone:
 
-    ``tuples`` is the sample as a read-only (m, 4) int64 array; each row has
-    4 distinct indices.  A sample built from an array holds a copy of it, so
-    later writes to that array never reach the sample.
-
-    A sample drawn by :func:`sample_quadruples` holds only (n, m, seed), from
-    which it is reproducible.  :func:`reduced_estimate` replays its draw block
-    by block, so no (m, 4) array exists until ``tuples`` is first read, which
-    builds it from the same draw.  Samples are immutable and compare by
-    identity.  A copy or an unpickled sample is rebuilt the same way: a held
-    one through the constructor's checks, a drawn one from (n, m, seed).
+    >>> s = sample_quadruples(1000, 1.8, 3)
+    >>> s
+    QuadrupleSample(n=1000, m=251189, seed=3)
+    >>> eval(repr(s)).tuples.tobytes() == s.tuples.tobytes()
+    True
     """
 
-    def __init__(self, tuples: np.ndarray, n: int) -> None:
-        check_integer(n, "n")
-        t = np.array(tuples, dtype=np.int64, copy=True, order="C")
-        if t.ndim != 2 or t.shape[1] != 4:
-            raise ValueError(f"tuples must have shape (m, 4), got {t.shape}")
-        if not t.size:
-            raise ValueError("a quadruple sample needs at least one quadruple, got m = 0")
-        if t.min() < 0 or t.max() >= n:
-            raise ValueError("tuple indices out of range")
-        if not _distinct_rows(t).all():
-            raise ValueError("each quadruple must have 4 distinct indices")
-        t.setflags(write=False)
-        vars(self).update(n=n, m=t.shape[0], _seed=None, _tuples=t)
+    n: int
+    m: int
+    seed: int
 
-    @classmethod
-    def _drawn(cls, n: int, m: int, seed: int) -> QuadrupleSample:
-        sample = cls.__new__(cls)
-        vars(sample).update(n=n, m=m, _seed=seed, _tuples=None)
-        return sample
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"a QuadrupleSample is immutable; cannot set {name!r}")
+    def __post_init__(self) -> None:
+        check_integer(self.n, "n")
+        if self.n < 4:
+            raise TooFewNodesError(f"quadruple sampling needs n >= 4, got {self.n}")
+        check_integer(self.m, "m", minimum=1)
+        check_integer(self.seed, "seed")
 
     def __reduce__(self):
-        if self._seed is None:
-            return QuadrupleSample, (self._tuples, self.n)
-        return QuadrupleSample._drawn, (self.n, self.m, self._seed)
+        return QuadrupleSample, (self.n, self.m, self.seed)
 
-    def __repr__(self) -> str:
-        seed = "" if self._seed is None else f", seed={self._seed!r}"
-        return f"QuadrupleSample(n={self.n!r}, m={self.m!r}{seed})"
-
-    @property
+    @cached_property
     def tuples(self) -> np.ndarray:
-        if self._tuples is None:  # drawn: build the array once, from the one draw
-            n, m, seed = self.n, self.m, self._seed
-            valid = np.concatenate([ok for flags, _ in _draw(n, m, seed) for ok in flags])
-            rounds = [np.flatnonzero(valid[:m])]  # rows 0 .. m-1 fill their own positions
-            targets, used = np.flatnonzero(~valid[:m]), m
-            while targets.size:  # each later round redraws, in order, the positions left
-                ok = valid[used:used + targets.size]
-                rounds.append(targets[ok])
-                targets, used = targets[~ok], used + ok.size
-            positions = np.concatenate(rounds)
-            del rounds  # before the (m, 4) array
-            t, start = np.empty((m, 4), dtype=np.int64), 0
-            for _, quads in _draw(n, m, seed):  # the valid rows, in stream order
-                t[positions[start:start + len(quads)]] = quads
-                start += len(quads)
-            t.setflags(write=False)
-            vars(self)["_tuples"] = t
-        return self._tuples
-
-    def _blocks(self):
-        """Every quadruple once, in blocks of ``KERNEL_BLOCK`` rows, the last one
-        shorter; a drawn sample replays its draw even once ``tuples`` is built."""
-        if self._seed is not None:
-            return (quads for _, quads in _draw(self.n, self.m, self._seed))
-        return (self._tuples[s:s + KERNEL_BLOCK] for s in range(0, self.m, KERNEL_BLOCK))
+        n, m, seed = self.n, self.m, self.seed
+        valid = np.concatenate([ok for flags, _ in _draw(n, m, seed) for ok in flags])
+        rounds = [np.flatnonzero(valid[:m])]  # rows 0 .. m-1 fill their own positions
+        targets, used = np.flatnonzero(~valid[:m]), m
+        while targets.size:  # each later round redraws, in order, the positions left
+            ok = valid[used:used + targets.size]
+            rounds.append(targets[ok])
+            targets, used = targets[~ok], used + ok.size
+        positions = np.concatenate(rounds)
+        del rounds  # before the (m, 4) array
+        t, start = np.empty((m, 4), dtype=np.int64), 0
+        for _, quads in _draw(n, m, seed):  # the valid rows, in stream order
+            t[positions[start:start + len(quads)]] = quads
+            start += len(quads)
+        t.setflags(write=False)
+        return t
 
 
 @dataclass(frozen=True)
@@ -194,11 +169,8 @@ def sample_quadruples(n: int, subsample_exponent: float, seed: int) -> Quadruple
     :class:`QuadrupleSample`).
     """
     check_integer(n, "n")
-    if n < 4:
-        raise TooFewNodesError(f"quadruple sampling needs n >= 4, got {n}")
     check_subsample_exponent(subsample_exponent)
-    check_integer(seed, "seed")
-    return QuadrupleSample._drawn(n, subsample_size(n, subsample_exponent), seed)
+    return QuadrupleSample(n, subsample_size(n, subsample_exponent), seed)
 
 
 def _draw(n: int, m: int, seed: int):
@@ -262,7 +234,7 @@ def reduced_estimate(
     if sample.n != net.n:
         raise ValueError(f"sample drawn for n={sample.n} but network has n={net.n}")
     buffer, count = np.empty(BUFFER_ROWS * min(KERNEL_BLOCK, sample.m)), 0
-    for quads in sample._blocks():
+    for _, quads in _draw(sample.n, sample.m, sample.seed):
         quadruple_kernel_values(net, quads, buffer)
         b, values = len(quads), buffer[:len(EffectKind) * len(quads)].reshape(len(EffectKind), -1)
         mean = values.sum(axis=1) / b  # numpy.mean's own steps

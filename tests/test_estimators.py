@@ -22,6 +22,7 @@ from neteffects import (
 )
 from neteffects import estimators
 from neteffects.estimators import node_projection, subsample_size
+from neteffects.kernels import quadruple_kernel_values
 from . import oracles
 from .conftest import constant_net, make_random_net, traced_peak, two_path_offset_term
 
@@ -130,31 +131,28 @@ class TestSampleQuadruples:
         se = np.sqrt(0.05 * 0.95 / total)
         assert np.all(np.abs(freq - 1 / 20) < 5 * se)
 
-    def test_quadruple_sample_validation(self):
-        with pytest.raises(ValueError):
-            QuadrupleSample(tuples=np.array([[0, 1, 2, 9]]), n=5)
-        for a, b in itertools.combinations(range(4), 2):  # a repeat in each pair of columns
-            row = [0, 1, 2, 3]
-            row[b] = row[a]
-            with pytest.raises(ValueError, match="distinct"):
-                QuadrupleSample(tuples=np.array([[4, 5, 6, 7], row]), n=8)
+    @pytest.mark.parametrize("n", [0, 3, np.int64(3)])
+    def test_quadruple_sample_needs_four_nodes(self, n):
+        with pytest.raises(TooFewNodesError, match="n >= 4"):
+            QuadrupleSample(n, 10, 0)
 
-    @pytest.mark.parametrize("writeable", [True, False])
-    def test_quadruple_sample_rejects_an_empty_sample(self, writeable):
+    def test_quadruple_sample_rejects_an_empty_sample(self):
         # an empty sample would give reduced_estimate NaN moments
-        empty = np.empty((0, 4), dtype=np.int64)
-        empty.setflags(write=writeable)
-        with pytest.raises(ValueError, match="at least one quadruple"):
-            QuadrupleSample(tuples=empty, n=8)
+        with pytest.raises(ValueError, match="^m must be an integer of at least 1, got 0"):
+            QuadrupleSample(8, 0, 0)
 
-    def test_sample_keeps_no_alias_of_a_callers_array(self):
-        tuples = np.array([[0, 1, 2, 3], [4, 5, 6, 7]])
-        sample = QuadrupleSample(tuples=tuples, n=8)
-        tuples[0] = [7, 6, 5, 4]
-        assert sample.tuples.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
-        assert not sample.tuples.flags.writeable
-        with pytest.raises(ValueError):
-            sample.tuples[0, 0] = 1
+    @pytest.mark.parametrize("field", ["n", "m", "seed"])
+    @pytest.mark.parametrize("value", [10.5, np.float64(8.0), True, -1])
+    def test_quadruple_sample_checks_every_field_before_any_draw(self, field, value,
+                                                                  monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw ran before the check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        wanted = "an integer of at least 1" if field == "m" else "a non-negative integer"
+        with pytest.raises(ValueError, match=f"^{field} must be {wanted}") as raised:
+            QuadrupleSample(**{"n": 10, "m": 5, "seed": 0, field: value})
+        assert not isinstance(raised.value, TooFewNodesError)
 
     @pytest.mark.parametrize("n", [10.5, np.float64(10.0), True])
     def test_non_integer_size_fails_before_any_draw(self, n, monkeypatch):
@@ -182,23 +180,8 @@ class TestSampleQuadruples:
     def test_numpy_integer_size_is_accepted(self):
         drawn = sample_quadruples(np.int64(10), 1.2, 0)
         assert drawn.tuples.tobytes() == sample_quadruples(10, 1.2, 0).tuples.tobytes()
-        assert QuadrupleSample(tuples=drawn.tuples, n=np.int32(10)).m == drawn.m
-
-    @pytest.mark.parametrize("n", [4.5, np.float64(8.0), True])
-    def test_quadruple_sample_rejects_a_non_integer_size(self, n):
-        with pytest.raises(ValueError, match="^n must be a non-negative integer"):
-            QuadrupleSample(tuples=[[0, 1, 2, 3]], n=n)
-
-    def test_a_read_only_array_made_writable_again_never_reaches_the_sample(self):
-        net = make_random_net(8, seed=1)
-        owned = np.array([[0, 1, 2, 3], [4, 5, 6, 7]], dtype=np.int64)
-        owned.setflags(write=False)
-        sample = QuadrupleSample(tuples=owned, n=8)
-        moments = repr(reduced_estimate(net, sample))
-        owned.setflags(write=True)
-        owned[0] = [0, 0, 1, 2]  # a repeated index, which the constructor rejects
-        assert sample.tuples.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
-        assert repr(reduced_estimate(net, sample)) == moments
+        built = QuadrupleSample(np.int32(10), np.int64(drawn.m), np.uint8(0))
+        assert built.tuples.tobytes() == drawn.tuples.tobytes()
 
     def test_drawn_tuples_are_not_copied(self):
         # m = 251,189 quadruples take 8.0 MB; a copy of them peaked at 16.8 MB
@@ -222,32 +205,32 @@ class TestSampleQuadruples:
         assert traced_peak(repr, drawn) < 1e5
         assert traced_peak(lambda: drawn == drawn and drawn != sample_quadruples(1000, 1.8, 3)) < 1e5
         assert repr(drawn) == "QuadrupleSample(n=1000, m=251189, seed=3)"
-        assert repr(QuadrupleSample(tuples=[[0, 1, 2, 3]], n=5)) == "QuadrupleSample(n=5, m=1)"
 
-    def test_is_immutable(self):
+    @pytest.mark.parametrize("field", ["n", "m", "seed", "tuples"])
+    def test_is_immutable(self, field):
         drawn = sample_quadruples(10, 1.2, 0)
-        for sample in (drawn, QuadrupleSample(tuples=drawn.tuples, n=10)):
-            with pytest.raises(AttributeError, match="immutable"):
-                sample.n = 11
-            with pytest.raises(AttributeError, match="immutable"):
-                sample.tuples = drawn.tuples
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(drawn, field, getattr(drawn, field))
 
     def test_tuples_are_built_once(self):
         drawn = sample_quadruples(30, 1.5, 2)
         assert drawn.tuples is drawn.tuples and not drawn.tuples.flags.writeable
+        with pytest.raises(ValueError):
+            drawn.tuples[0, 0] = 1
 
     @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
                                         lambda sample: pickle.loads(pickle.dumps(sample))])
     def test_copies_are_read_only_and_reduce_alike(self, copier):
         net = make_random_net(30, seed=4)
-        drawn = sample_quadruples(30, 1.5, 2)
-        for sample in (drawn, QuadrupleSample(tuples=drawn.tuples.copy(), n=30)):
-            twin = copier(sample)
-            assert repr(twin) == repr(sample)
-            assert not twin.tuples.flags.writeable
-            assert repr(reduced_estimate(net, twin)) == repr(reduced_estimate(net, sample))
-        # a drawn copy stays lazy: the (m, 4) array of m = 251,189 takes 8.0 MB
+        sample = sample_quadruples(30, 1.5, 2)
+        twin = copier(sample)
+        assert repr(twin) == repr(sample)
+        assert repr(reduced_estimate(net, twin)) == repr(reduced_estimate(net, sample))
+        assert not twin.tuples.flags.writeable
+        # a copy stays lazy, even of a sample whose (m, 4) array is built: at m = 251,189
+        # that array takes 8.0 MB
         assert traced_peak(copier, sample_quadruples(1000, 1.8, 3)) < 1e5
+        assert "tuples" in vars(twin) and "tuples" not in vars(copier(twin))
 
     @staticmethod
     def kernel_blocks(net, sample, block, patch):
@@ -290,7 +273,7 @@ class TestSampleQuadruples:
         # the block storage, one fresh call and that call's valid rows, 0.26 MB each; spare
         # rows kept in an array of their own would add one more
         def consume(sample):
-            for _ in sample._blocks():
+            for _ in estimators._draw(sample.n, sample.m, sample.seed):
                 pass
 
         consume(sample_quadruples(50, 1.5, 1))  # numpy's lazy imports are not the draw's
@@ -300,9 +283,10 @@ class TestSampleQuadruples:
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(4, 60), exponent=st.floats(1.0, 2.0, exclude_max=True),
            seed=st.integers(0, 2**32 - 1))
-    def test_drawn_and_held_samples_reduce_alike(self, block, n, exponent, seed):
-        # at n = 4 most rows collide, which forces many redraw rounds; a drawn
-        # sample reduces in its draw's block order, a held one in row order
+    def test_drawn_samples_reduce_alike_before_and_after_tuples_are_read(self, block, n,
+                                                                          exponent, seed):
+        # at n = 4 most rows collide, which forces many redraw rounds; a sample
+        # reduces in its draw's block order, not in the row order of .tuples
         net = make_random_net(n, seed % 1000)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(estimators, "KERNEL_BLOCK", block)
@@ -310,11 +294,9 @@ class TestSampleQuadruples:
             streamed = reduced_estimate(net, drawn)  # before .tuples is first read
             tuples = drawn.tuples
             assert repr(reduced_estimate(net, drawn)) == repr(streamed)  # still the draw replayed
-            held = reduced_estimate(net, QuadrupleSample(tuples=tuples.copy(), n=n))
         expected = oracles.reference_sample_quadruples(n, exponent, seed)
         assert tuples.tobytes() == expected.tobytes()
         assert_near_the_stacked_moments(streamed, net, expected)
-        assert_near_the_stacked_moments(held, net, expected)
 
 
 class TestReducedEstimate:
@@ -324,17 +306,6 @@ class TestReducedEstimate:
         moment = reduced_estimate(net, sample)[EffectKind.SAME_SENDER]
         assert moment.eta_hat == pytest.approx(0.0, abs=1e-12)
         assert moment.sigma_hat == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize("effect", ALL_EFFECTS)
-    def test_full_enumeration_reproduces_complete(self, effect):
-        n = 7
-        net = make_random_net(n, seed=13)
-        all_quads = np.array(list(itertools.combinations(range(n), 4)))
-        sample = QuadrupleSample(tuples=all_quads, n=n)
-        moment = reduced_estimate(net, sample)[effect]
-        assert moment.eta_hat == pytest.approx(
-            complete_estimate(net, effect).value, rel=1e-11, abs=1e-13
-        )
 
     def test_close_to_complete_on_moderate_network(self):
         # subsampled estimate should land near the complete one
@@ -361,17 +332,15 @@ class TestReducedEstimate:
 
         monkeypatch.setattr(estimators, "KERNEL_BLOCK", block)
         monkeypatch.setattr(estimators, "quadruple_kernel_values", counted)
-        drawn = sample_quadruples(n, exponent, seed=2)
-        for sample in (drawn, QuadrupleSample(tuples=drawn.tuples, n=n)):
-            calls.clear()
-            assert_near_the_stacked_moments(reduced_estimate(net, sample), net, drawn.tuples)
-            assert len(calls) == -(-sample.m // block) and sum(calls) == sample.m
-            assert max(calls) == min(block, sample.m)
+        sample = sample_quadruples(n, exponent, seed=2)
+        assert_near_the_stacked_moments(reduced_estimate(net, sample), net, sample.tuples)
+        assert len(calls) == -(-sample.m // block) and sum(calls) == sample.m
+        assert max(calls) == min(block, sample.m)
 
     @pytest.mark.parametrize("block", [7, 8192])
     def test_a_given_block_size_keeps_every_bit(self, block, monkeypatch):
-        # at n = 300, about 2% of the rows are redrawn, so a drawn sample's blocks
-        # hold other rows, in another order, than the same sample held
+        # at n = 300, about 2% of the rows are redrawn, so the blocks hold other rows,
+        # in another order, than .tuples; reading it changes no bit
         monkeypatch.setattr(estimators, "KERNEL_BLOCK", block)
         net = make_random_net(300, seed=3)
         drawn = sample_quadruples(300, 1.5, seed=2)
@@ -382,8 +351,8 @@ class TestReducedEstimate:
             return {repr(reduced_estimate(net, twin)) for twin in twins}
 
         before = reduced(drawn)
-        held = QuadrupleSample(tuples=drawn.tuples, n=300)  # reads .tuples
-        assert len(before) == 1 and reduced(drawn) == before and len(reduced(held)) == 1
+        assert len(drawn.tuples) == drawn.m
+        assert len(before) == 1 and reduced(drawn) == before
 
     def test_one_block_of_temporaries(self):
         # at m = 251,189 the (4, m) kernel values took 8 MB, a peak of 11.2 MB;
@@ -395,9 +364,7 @@ class TestReducedEstimate:
     def test_peak_does_not_grow_with_m(self):
         # holding the (4, m) kernel values, m = 10**6 peaked at 34.8 MB
         net = make_random_net(60, seed=4)
-        tuples = sample_quadruples(60, 1.9, seed=1).tuples
-        small, large = (QuadrupleSample(tuples=np.resize(tuples, (m, 4)), n=60)
-                        for m in (10**4, 10**6))
+        small, large = QuadrupleSample(60, 10**4, 1), QuadrupleSample(60, 10**6, 1)
         assert abs(traced_peak(reduced_estimate, net, large)
                    - traced_peak(reduced_estimate, net, small)) < 0.5e6
 
@@ -430,18 +397,17 @@ class TestReducedEstimate:
     @pytest.mark.parametrize("n, seed", [(7, 0), (60, 1)])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("offset", [0.0, 1e3])
-    def test_relabelling_network_and_sample_together_keeps_every_bit(self, n, seed, scale,
-                                                                     offset):
+    def test_relabelling_network_and_quadruples_together_keeps_every_bit(self, n, seed, scale,
+                                                                         offset):
         w = make_random_net(n, seed).weights * scale + offset
         np.fill_diagonal(w, 0.0)
-        # held, so both samples reduce their rows in the same blocks and order
-        sample = QuadrupleSample(tuples=sample_quadruples(n, 1.5, seed).tuples, n=n)
+        quads = sample_quadruples(n, 1.5, seed).tuples
         p = np.random.default_rng(seed + 10).permutation(n)
         relabelled = np.empty_like(w)
         relabelled[np.ix_(p, p)] = w  # node i is node p[i]
-        moved = QuadrupleSample(tuples=p[sample.tuples], n=n)
-        assert (repr(reduced_estimate(DirectedWeightedNetwork(relabelled), moved))
-                == repr(reduced_estimate(DirectedWeightedNetwork(w), sample)))
+        moved = quadruple_kernel_values(DirectedWeightedNetwork(relabelled), p[quads])
+        kept = quadruple_kernel_values(DirectedWeightedNetwork(w), quads)
+        assert np.stack(list(moved.values())).tobytes() == np.stack(list(kept.values())).tobytes()
 
     @pytest.mark.parametrize("n, seed", [(7, 2), (60, 3)])
     @pytest.mark.parametrize("exponent", [-100, -10, 0, 10, 100])
