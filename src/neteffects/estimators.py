@@ -57,7 +57,8 @@ class QuadrupleSample:
     """A with-replacement sample of m >= 1 quadruples on n >= 4 nodes, drawn from
     ``seed`` as :func:`sample_quadruples` draws it.  :func:`reduced_estimate` replays
     the draw block by block, so no (m, 4) array exists until ``tuples`` is first read,
-    which builds it from the same draw: read-only int64 rows of 4 distinct indices.
+    which builds it from one more replay: read-only int64 rows of 4 distinct indices,
+    in the order the reduction reads them.
     Samples are immutable and compare by identity; a copy, a pickle and the ``repr``
     rebuild one from (n, m, seed) alone:
 
@@ -84,19 +85,9 @@ class QuadrupleSample:
 
     @cached_property
     def tuples(self) -> np.ndarray:
-        n, m, seed = self.n, self.m, self.seed
-        valid = np.concatenate([ok for flags, _ in _draw(n, m, seed) for ok in flags])
-        rounds = [np.flatnonzero(valid[:m])]  # rows 0 .. m-1 fill their own positions
-        targets, used = np.flatnonzero(~valid[:m]), m
-        while targets.size:  # each later round redraws, in order, the positions left
-            ok = valid[used:used + targets.size]
-            rounds.append(targets[ok])
-            targets, used = targets[~ok], used + ok.size
-        positions = np.concatenate(rounds)
-        del rounds  # before the (m, 4) array
-        t, start = np.empty((m, 4), dtype=np.int64), 0
-        for _, quads in _draw(n, m, seed):  # the valid rows, in stream order
-            t[positions[start:start + len(quads)]] = quads
+        t, start = np.empty((self.m, 4), dtype=np.int64), 0
+        for quads in _draw(self.n, self.m, self.seed):
+            t[start:start + len(quads)] = quads
             start += len(quads)
         t.setflags(write=False)
         return t
@@ -176,23 +167,21 @@ def sample_quadruples(n: int, subsample_exponent: float, seed: int) -> Quadruple
 def _draw(n: int, m: int, seed: int):
     """:func:`sample_quadruples`' draw, replayed from its seed: the first m rows with 4
     distinct indices of the seed's row stream ``rng.integers(0, n, (k, 4))``, in stream
-    order, as (flags, quads) blocks of ``KERNEL_BLOCK`` rows, the last one shorter.
+    order, as (b, 4) blocks of ``KERNEL_BLOCK`` rows, the last one shorter.
 
     ``rng.integers`` gives the same stream in pieces as at once.  So a block takes one
     call, overdrawn by the chance 1 - (n-1)(n-2)(n-3)/n^3 that a row repeats an index:
     the call falls short with chance below 1% (about 0.1% for a full block), and then
     the block draws again.  The valid rows are compacted in the block's storage, the
     first call's own array; those beyond the block are spare and start the next one,
-    which draws only when they run out.  ``flags`` holds the validity of each row
-    drawn for the block, one array per call, in stream order, from which
-    ``QuadrupleSample.tuples`` places the rows.  The yielded arrays are reused: use
-    each block before taking the next.
+    which draws only when they run out.  The yielded arrays are reused: use each
+    block before taking the next.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     valid = (n - 1) * (n - 2) * (n - 3) / n**3  # chance that a row has 4 distinct indices
     store, start, stop = None, 0, 0  # store[start:stop]: valid rows not yet yielded
     for first in range(0, m, KERNEL_BLOCK):
-        need, flags = min(KERNEL_BLOCK, m - first), []
+        need = min(KERNEL_BLOCK, m - first)
         while stop - start < need:
             short = need - (stop - start)  # k rows hold short + 1 valid ones 3 sd below their mean
             k = math.ceil((short + 3.0 * math.sqrt(short * (1.0 - valid)) + 1.0) / valid)
@@ -204,9 +193,8 @@ def _draw(n: int, m: int, seed: int):
             start, stop, kept = 0, stop - start, np.count_nonzero(ok)
             rows[stop:stop + kept] = drawn.view(_ROW).ravel()[ok]
             stop += kept
-            flags.append(ok)
             del drawn  # before the next draw: one fresh draw beside the storage
-        yield flags, store[start:start + need]
+        yield store[start:start + need]
         start += need
 
 
@@ -234,9 +222,8 @@ def reduced_estimate(
     if sample.n != net.n:
         raise ValueError(f"sample drawn for n={sample.n} but network has n={net.n}")
     buffer, count = np.empty(BUFFER_ROWS * min(KERNEL_BLOCK, sample.m)), 0
-    for _, quads in _draw(sample.n, sample.m, sample.seed):
-        quadruple_kernel_values(net, quads, buffer)
-        b, values = len(quads), buffer[:len(EffectKind) * len(quads)].reshape(len(EffectKind), -1)
+    for quads in _draw(sample.n, sample.m, sample.seed):
+        b, values = len(quads), quadruple_kernel_values(net, quads, buffer)
         mean = values.sum(axis=1) / b  # numpy.mean's own steps
         values -= mean[:, None]
         sq = np.multiply(values, values, out=values).sum(axis=1)

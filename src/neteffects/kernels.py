@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import DirectedWeightedNetwork, EffectKind
+from .network import DirectedWeightedNetwork
 
 __all__ = ["quadruple_kernel_values"]
 
@@ -38,15 +38,15 @@ BUFFER_ROWS = 24
 
 
 def quadruple_kernel_values(net: DirectedWeightedNetwork, quads: np.ndarray,
-                            buffer: np.ndarray | None = None) -> dict[EffectKind, np.ndarray]:
+                            buffer: np.ndarray | None = None) -> np.ndarray:
     """Each effect's 4-tuple kernel on each row of an (m, 4) array of index
-    quadruples, one (m,) array per :class:`EffectKind`: the mean reciprocal or
-    3-node product over the quad's pairs or triples, minus the mean of
-    e[a,b] e[c,d] over its 24 orderings, plus an O(1/n) correction; taken in the
-    module's closed form after shifting the quad's weights by e[quad[0], quad[1]].
+    quadruples, as a (4, m) array whose rows are in :class:`EffectKind` order: the
+    mean reciprocal or 3-node product over the quad's pairs or triples, minus the
+    mean of e[a,b] e[c,d] over its 24 orderings, plus an O(1/n) correction; taken in
+    the module's closed form after shifting the quad's weights by e[quad[0], quad[1]].
 
     It works in ``buffer``, at least ``BUFFER_ROWS * m`` float64s (new by default),
-    and returns its first 4 m as the rows of a (4, m) array.  Indices must lie in [0, n).
+    and returns a view of its first 4 m.  Indices must lie in [0, n).
     """
     n, m = net.n, len(quads)
     buffer = np.empty(BUFFER_ROWS * m) if buffer is None else buffer
@@ -80,7 +80,7 @@ def quadruple_kernel_values(net: DirectedWeightedNetwork, quads: np.ndarray,
     x[1:4] /= 24.0
     np.divide(t2, 12.0, out=x[0])
     x[:4] += beta
-    return dict(zip(EffectKind, x))
+    return x[:4]
 
 
 def _fold(rows: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from neteffects import DirectedWeightedNetwork, reduced_estimate, sample_quadruples
+from neteffects import DirectedWeightedNetwork, EffectKind, reduced_estimate, sample_quadruples
 
 
 @pytest.fixture
@@ -28,6 +28,10 @@ def make_random_net(n: int, seed: int, integers: bool = False) -> DirectedWeight
         w = rng.normal(size=(n, n))
     np.fill_diagonal(w, 0.0)
     return DirectedWeightedNetwork(w)
+
+
+# The row of each effect in quadruple_kernel_values' (4, m) output
+KERNEL_ROW = {effect: row for row, effect in enumerate(EffectKind)}
 
 
 def traced_peak(fn, *args) -> int:

@@ -273,19 +273,6 @@ def reference_read_edge_list(path):
     return reference_from_edge_list(records)
 
 
-def reference_sample_quadruples(n, subsample_exponent, seed):
-    """The sort-based rejection sampler: each round sorts every row and
-    redraws, in row order, the rows with a repeated index."""
-    m = max(1, int(round(n**subsample_exponent)))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    tuples = rng.integers(0, n, size=(m, 4), dtype=np.int64)
-    while True:
-        collided = (np.diff(np.sort(tuples, axis=1), axis=1) == 0).any(axis=1)
-        if not collided.any():
-            return tuples
-        tuples[collided] = rng.integers(0, n, size=(int(collided.sum()), 4), dtype=np.int64)
-
-
 def reference_valid_rows(n, m, seed):
     """The first m rows with 4 distinct indices, in stream order, of one call
     ``default_rng(SeedSequence(seed)).integers(0, n, (k, 4))``, k doubled until

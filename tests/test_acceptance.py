@@ -48,9 +48,9 @@ def test_criterion_01_quadruple_kernel_average_identity():
         n = 5 + case % 5
         net = make_random_net(n, seed=1000 + case)
         quads = np.array(list(itertools.combinations(range(n), 4)))
-        for effect in ALL_EFFECTS:
+        for effect, values in zip(ALL_EFFECTS, quadruple_kernel_values(net, quads)):
             target = complete_estimate(net, effect).value
-            mean_psi = float(quadruple_kernel_values(net, quads)[effect].mean())
+            mean_psi = float(values.mean())
             err = abs(mean_psi - target) / max(abs(target), 1e-12)
             worst = max(worst, err)
             assert mean_psi == pytest.approx(target, rel=1e-9, abs=1e-12)

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neteffects import DirectedWeightedNetwork, EffectKind, complete_estimate, sample_quadruples
-from neteffects.kernels import quadruple_kernel_values
+from neteffects.kernels import BUFFER_ROWS, quadruple_kernel_values
 from .oracles import (correction, disjoint, exact_kernel_values, pair_mean, quadruple_kernel, receiver,
                       recip, sender, two_path)
-from .conftest import constant_net, make_random_net, traced_peak
+from .conftest import KERNEL_ROW, constant_net, make_random_net, traced_peak
 
 W3 = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 4.0], [5.0, 6.0, 0.0]])
 
@@ -146,7 +146,7 @@ class TestQuadrupleKernel:
     def test_vectorized_matches_scalar(self, effect):
         net = make_random_net(9, seed=23)
         quads = np.array(list(itertools.combinations(range(9), 4)))
-        vec = quadruple_kernel_values(net, quads)[effect]
+        vec = quadruple_kernel_values(net, quads)[KERNEL_ROW[effect]]
         scalar = [quadruple_kernel(effect, net.weights, tuple(q), 9) for q in quads]
         np.testing.assert_allclose(vec, scalar, rtol=1e-12, atol=1e-14)
 
@@ -165,9 +165,10 @@ class TestQuadrupleKernel:
                 w = base * scale + offset
                 np.fill_diagonal(w, 0.0)
                 net = DirectedWeightedNetwork(w)
-                values = quadruple_kernel_values(net, quads)
-                for effect, exact in zip(EffectKind, exact_kernel_values(net.weights, quads[rows])):
-                    error = max(abs(Fraction(float(v)) - x) for v, x in zip(values[effect][rows], exact))
+                values = quadruple_kernel_values(net, quads)[:, rows]
+                exact_values = exact_kernel_values(net.weights, quads[rows])
+                for effect, row, exact in zip(EffectKind, values, exact_values):
+                    error = max(abs(Fraction(float(v)) - x) for v, x in zip(row, exact))
                     assert error <= 1e-14 * max(map(abs, exact)), (effect, scale, offset)
 
     @settings(max_examples=100, deadline=None)
@@ -183,8 +184,15 @@ class TestQuadrupleKernel:
         batch = quadruple_kernel_values(net, quads)
         for k in range(m):
             alone = quadruple_kernel_values(net, quads[k:k + 1])
-            for effect in EffectKind:
-                assert batch[effect][k].tobytes() == alone[effect][0].tobytes(), (k, effect)
+            assert batch[:, k].tobytes() == alone[:, 0].tobytes(), k
+
+    def test_values_are_a_four_row_view_of_the_buffer(self):
+        net = make_random_net(12, seed=6)
+        quads = sample_quadruples(12, 1.5, 1).tuples
+        buffer = np.empty(BUFFER_ROWS * len(quads))
+        values = quadruple_kernel_values(net, quads, buffer)
+        assert values.shape == (4, len(quads)) and np.shares_memory(values, buffer)
+        assert values.tobytes() == quadruple_kernel_values(net, quads).tobytes()
 
     def test_one_block_peaks_below_a_sixteen_entry_gather(self):
         # 8,192 quads, one estimators.KERNEL_BLOCK: the 12 gathered rows and the
@@ -201,14 +209,14 @@ class TestQuadrupleKernel:
         # same-sender on the transpose equals same-receiver, and the
         # reciprocity / two-path kernels are transpose-invariant
         np.testing.assert_allclose(
-            quadruple_kernel_values(flipped, quads)[EffectKind.SAME_SENDER],
-            quadruple_kernel_values(net, quads)[EffectKind.SAME_RECEIVER],
+            quadruple_kernel_values(flipped, quads)[KERNEL_ROW[EffectKind.SAME_SENDER]],
+            quadruple_kernel_values(net, quads)[KERNEL_ROW[EffectKind.SAME_RECEIVER]],
             rtol=1e-12, atol=1e-14,
         )
         for effect in (EffectKind.RECIPROCITY, EffectKind.SENDER_RECEIVER):
             np.testing.assert_allclose(
-                quadruple_kernel_values(flipped, quads)[effect],
-                quadruple_kernel_values(net, quads)[effect],
+                quadruple_kernel_values(flipped, quads)[KERNEL_ROW[effect]],
+                quadruple_kernel_values(net, quads)[KERNEL_ROW[effect]],
                 rtol=1e-12, atol=1e-14,
             )
 
@@ -218,7 +226,7 @@ class TestQuadrupleKernel:
         scaled = DirectedWeightedNetwork(3.0 * net.weights)
         quads = np.array(list(itertools.combinations(range(7), 4)))
         np.testing.assert_allclose(
-            quadruple_kernel_values(scaled, quads)[effect],
-            9.0 * quadruple_kernel_values(net, quads)[effect],
+            quadruple_kernel_values(scaled, quads)[KERNEL_ROW[effect]],
+            9.0 * quadruple_kernel_values(net, quads)[KERNEL_ROW[effect]],
             rtol=1e-12, atol=1e-14,
         )
