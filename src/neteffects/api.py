@@ -26,15 +26,15 @@ class NetworkEffectTest:
     effect : str or EffectKind, default "reciprocity"
         One of "reciprocity", "same_sender", "same_receiver",
         "sender_receiver" (or the short forms eta2..eta5).
-    alpha : float, default 0.05
+    alpha : float, default ``inference.Settings.alpha``
         Two-sided significance level.
-    subsample_exponent : float, default 1.2
+    subsample_exponent : float, default ``inference.Settings.subsample_exponent``
         Quadruple subsample size is round(n ** subsample_exponent);
         larger values buy power at some cost in size accuracy and time.
-    random_state : int, default 0
+    random_state : int, default ``inference.Settings.seed``
         Seed for quadruple subsampling on the reduced branch; the test
         runs with ``inference.derive_seed(random_state)``, as the CLI does.
-    diagnostic_constant : float, default 1.0
+    diagnostic_constant : float, default ``inference.Settings.c_constant``
         Multiplier on the degeneracy threshold (reciprocity and
         sender-receiver only).
 
@@ -56,10 +56,10 @@ class NetworkEffectTest:
     """
 
     effect: str | EffectKind = "reciprocity"
-    alpha: float = 0.05
-    subsample_exponent: float = 1.2
-    random_state: int = 0
-    diagnostic_constant: float = 1.0
+    alpha: float = inference.Settings.alpha
+    subsample_exponent: float = inference.Settings.subsample_exponent
+    random_state: int = inference.Settings.seed
+    diagnostic_constant: float = inference.Settings.c_constant
 
     def fit(self, X, y=None):
         """Run the degeneracy-aware test pipeline on weight matrix X."""

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .inference import derive_seed, diagnose_degeneracy, local_effects, test_effect
+from .inference import Settings, derive_seed, diagnose_degeneracy, local_effects, test_effect
 from .network import EffectKind, read_edge_list
 from .simulation import CONFIGS, SimulationSpec, monte_carlo
 
@@ -38,30 +38,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nonparametric tests for network effects in weighted directed networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_test = sub.add_parser("test", help="test one or all effects on an edge-list CSV")
+    threshold = argparse.ArgumentParser(add_help=False)  # the one setting of diagnose
+    threshold.add_argument("--diagnostic-c", type=float, default=Settings.c_constant,
+                           help="degeneracy threshold constant (default %(default)s)")
+    settings = argparse.ArgumentParser(add_help=False, parents=[threshold])  # test and simulate
+    settings.add_argument("--alpha", type=float, default=Settings.alpha,
+                          help="significance level (default %(default)s)")
+    settings.add_argument("--lambda", dest="subsample_exponent", type=float,
+                          default=Settings.subsample_exponent,
+                          help="subsample-size exponent in [1, 2) (default %(default)s)")
+    settings.add_argument("--seed", type=int, default=Settings.seed,
+                          help="seed of the random draws (default %(default)s)")
+    p_test = sub.add_parser("test", parents=[settings], help="test one or all effects on an edge-list CSV")
     _add_input_output(p_test)
     p_test.add_argument("--effect", choices=_EFFECT_CHOICES, default="all")
-    p_test.add_argument("--alpha", type=float, default=0.05, help="significance level (default 0.05)")
-    p_test.add_argument("--lambda", dest="subsample_exponent", type=float, default=1.2,
-                        help="subsample-size exponent in [1, 2) (default 1.2)")
-    p_test.add_argument("--seed", type=int, default=0, help="subsampling seed (default 0)")
-    p_test.add_argument("--diagnostic-c", type=float, default=1.0,
-                        help="degeneracy threshold constant (default 1)")
     p_test.set_defaults(func=cmd_test)
 
-    p_diag = sub.add_parser("diagnose", help="degeneracy diagnosis for one effect")
+    p_diag = sub.add_parser("diagnose", parents=[threshold], help="degeneracy diagnosis for one effect")
     _add_input_output(p_diag)
     p_diag.add_argument("--effect", required=True,
                         choices=[effect.short_name for effect in EffectKind if effect.diagnosable])
-    p_diag.add_argument("--diagnostic-c", type=float, default=1.0)
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_local = sub.add_parser("local-effects", help="per-node local effects as CSV")
     _add_input_output(p_local)
     p_local.set_defaults(func=cmd_local_effects)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo rejection rate for a synthetic setting")
+    p_sim = sub.add_parser("simulate", parents=[settings],
+                           help="Monte Carlo rejection rate for a synthetic setting")
     p_sim.add_argument("--setting", choices=["a", "b", "c"], required=True)
     p_sim.add_argument("--config", choices=list(CONFIGS), default="normal")
     p_sim.add_argument("--n", type=int, required=True, help="nodes per replicate")
@@ -72,10 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     case.add_argument("--alt", dest="null_case", action="store_false",
                       help="simulate under the alternative (default when --c2 > 0)")
     p_sim.add_argument("--reps", type=int, default=1000)
-    p_sim.add_argument("--lambda", dest="subsample_exponent", type=float, default=1.2)
-    p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--diagnostic-c", type=float, default=1.0)
     p_sim.add_argument("--threads", type=int, default=1)
     p_sim.add_argument("--emit-stats", metavar="FILE",
                        help="write per-replicate statistics, one per line")

@@ -129,11 +129,11 @@ def subsample_size(n: int, subsample_exponent: float) -> int:
     return max(1, int(round(n**subsample_exponent)))
 
 
-def check_subsample_exponent(value: float, name: str = "subsample exponent") -> None:
+def check_subsample_exponent(value: float) -> None:
     """Raise ValueError unless value is a real number, not a bool, in [1, 2) (so NaN
     fails): the one rule for the subsample exponent, whichever entry point receives it."""
     if not is_real(value) or not 1.0 <= value < 2.0:
-        raise ValueError(f"{name} must be in [1, 2), got {value!r}")
+        raise ValueError(f"subsample exponent must be in [1, 2), got {value!r}")
 
 
 def is_real(value) -> bool:

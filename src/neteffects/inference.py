@@ -50,6 +50,25 @@ BRANCH_COMPLETE = "studentized_complete"
 
 
 @dataclass(frozen=True)
+class Settings:
+    """A test's level, subsample exponent, seed and degeneracy threshold constant, each
+    default written once.  Building one is the one check of all four (ValueError)."""
+
+    alpha: float = 0.05
+    subsample_exponent: float = 1.2
+    seed: int = 0
+    c_constant: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not is_real(self.alpha) or not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
+        check_subsample_exponent(self.subsample_exponent)
+        check_integer(self.seed, "seed")
+        if not is_real(self.c_constant) or not 0.0 < self.c_constant < math.inf:
+            raise ValueError(f"c_constant must be positive and finite, got {self.c_constant!r}")
+
+
+@dataclass(frozen=True)
 class DegeneracyDiagnosis:
     """Outcome of the degeneracy check for one effect.
 
@@ -119,19 +138,19 @@ def _two_sided_p(statistic: float, effect: EffectKind) -> float:
 def diagnose_degeneracy(
     net: DirectedWeightedNetwork,
     effect: EffectKind | str,
-    c_constant: float = 1.0,
+    c_constant: float = Settings.c_constant,
 ) -> DegeneracyDiagnosis:
     """Decide whether the complete estimator of an effect is degenerate.
 
-    The projection-variance estimate concentrates at rate
-    n^(-1/2) sqrt(log n) around its population value, which is zero in
-    the degenerate case and bounded away from zero otherwise, so
-    comparing against c_constant times that rate separates the two.
-    Supported for the :attr:`EffectKind.diagnosable` effects only, given
-    as members or by any name :meth:`EffectKind.parse` accepts.
+    The projection-variance estimate concentrates at rate n^(-1/2) sqrt(log n) around
+    its population value, which is zero in the degenerate case and bounded away from
+    zero otherwise, so comparing against c_constant times that rate separates the two;
+    :class:`Settings` holds c_constant's default and checks it.  Supported for the
+    :attr:`EffectKind.diagnosable` effects only, given as members or by any name
+    :meth:`EffectKind.parse` accepts.
     """
     effect = EffectKind.parse(effect)
-    check_c_constant(c_constant)
+    Settings(c_constant=c_constant)
     net.require_nodes(3, "diagnose_degeneracy")
     xi2 = _require_finite(projection_variance(net, effect), "projection variance", effect)
     n = net.n
@@ -144,10 +163,10 @@ def diagnose_degeneracy(
 def test_effect(
     net: DirectedWeightedNetwork,
     effect: EffectKind | str,
-    alpha: float = 0.05,
-    subsample_exponent: float = 1.2,
-    seed: int = 0,
-    c_constant: float = 1.0,
+    alpha: float = Settings.alpha,
+    subsample_exponent: float = Settings.subsample_exponent,
+    seed: int = Settings.seed,
+    c_constant: float = Settings.c_constant,
 ) -> TestReport:
     """Run the full pipeline for one effect.
 
@@ -165,17 +184,13 @@ def test_effect(
     node set, so that branch raises :class:`ZeroVarianceError`.  Both
     statistics are compared against standard normal quantiles (two-sided).
 
-    ``effect`` may be a member or any name :meth:`EffectKind.parse`
-    accepts; it and ``alpha``, ``subsample_exponent``, ``seed`` and
-    ``c_constant`` are checked here, before any pass over the weights,
-    whichever branch runs.
+    ``effect`` may be any member or name :meth:`EffectKind.parse` accepts.  It and the
+    other four arguments, by one :class:`Settings`, are checked here before any pass over
+    the weights, whichever branch runs.
     """
     net.require_nodes(4, "test_effect")
     effect = EffectKind.parse(effect)
-    check_alpha(alpha)
-    check_subsample_exponent(subsample_exponent)
-    check_integer(seed, "seed")
-    check_c_constant(c_constant)
+    Settings(alpha, subsample_exponent, seed, c_constant)
     diagnosis = diagnose_degeneracy(net, effect, c_constant) if effect.diagnosable else None
     if diagnosis is not None and diagnosis.non_degenerate:
         return _studentized(net, complete_estimate(net, effect), alpha, BRANCH_COMPLETE,
@@ -263,15 +278,3 @@ def local_effects(net: DirectedWeightedNetwork) -> LocalEffects:
         _require_finite(float(values[np.isfinite(values).argmin()]), "local effect", effect)
         columns[effect.value] = values
     return LocalEffects(**columns)
-
-
-def check_alpha(alpha: float) -> None:
-    """Raise ValueError unless alpha is a real number, not a bool, in (0, 1) (so NaN fails)."""
-    if not is_real(alpha) or not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-
-
-def check_c_constant(c_constant: float, name: str = "c_constant") -> None:
-    """Raise ValueError unless c_constant is a real number, not a bool, in (0, inf)."""
-    if not is_real(c_constant) or not 0.0 < c_constant < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {c_constant!r}")

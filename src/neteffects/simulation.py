@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError, ZeroVarianceError
-from .estimators import check_integer, check_subsample_exponent, is_real
-from .inference import check_alpha, check_c_constant, test_effect
+from .estimators import check_integer, is_real
+from .inference import Settings, test_effect
 from .network import DirectedWeightedNetwork, EffectKind
 
 __all__ = [
@@ -62,7 +62,7 @@ def default_effect(setting: str) -> EffectKind:
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """One Monte Carlo experiment: a generator plus a test configuration."""
+    """One Monte Carlo experiment: a generator plus test settings that ``inference.Settings`` checks."""
 
     setting: str
     n: int
@@ -71,10 +71,10 @@ class SimulationSpec:
     c_squared: float = 0.0
     null_case: bool | None = None  # None: the null exactly when c_squared is 0
     effect: EffectKind | str | None = None  # None: the setting's default_effect
-    alpha: float = 0.05
-    subsample_exponent: float = 1.2
-    diagnostic_constant: float = 1.0
-    master_seed: int = 0
+    alpha: float = Settings.alpha
+    subsample_exponent: float = Settings.subsample_exponent
+    diagnostic_constant: float = Settings.c_constant
+    master_seed: int = Settings.seed
 
     def __post_init__(self) -> None:
         _check_design(self.setting, self.config, self.n, self.c_squared)
@@ -87,9 +87,7 @@ class SimulationSpec:
                 "set null_case=False for the alternative, or c_squared=0"
             )
         try:
-            check_alpha(self.alpha)
-            check_subsample_exponent(self.subsample_exponent, "subsample_exponent")
-            check_c_constant(self.diagnostic_constant, "diagnostic_constant")
+            Settings(self.alpha, self.subsample_exponent, c_constant=self.diagnostic_constant)
             check_integer(self.master_seed, "master_seed")
             effect = default_effect(self.setting) if self.effect is None else EffectKind.parse(self.effect)
         except ValueError as exc:

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -11,8 +12,9 @@ from neteffects import (
     as_network,
 )
 from neteffects import test_effect as run_effect_test
-from neteffects.inference import derive_seed
-from neteffects.simulation import generate
+from neteffects.cli import build_parser
+from neteffects.inference import Settings, derive_seed, diagnose_degeneracy
+from neteffects.simulation import SimulationSpec, generate
 from .conftest import make_random_net
 
 
@@ -115,6 +117,24 @@ class TestNetworkEffectTest:
         assert est.get_params() == {**defaults, "effect": "eta2", "alpha": 0.1}
         assert repr(est) == ("NetworkEffectTest(effect='eta2', alpha=0.1, subsample_exponent=1.2,"
                              " random_state=0, diagnostic_constant=1.0)")
+        # inference.Settings holds every entry point's defaults, as (alpha, lambda, seed, C)
+        want = dataclasses.astuple(Settings())
+        assert want == (0.05, 1.2, 0, 1.0)
+        test_effect_params = inspect.signature(run_effect_test).parameters
+        assert tuple(test_effect_params[name].default for name in
+                     ("alpha", "subsample_exponent", "seed", "c_constant")) == want
+        assert inspect.signature(diagnose_degeneracy).parameters["c_constant"].default == want[3]
+        spec = SimulationSpec("b", n=20, reps=3)
+        assert (spec.alpha, spec.subsample_exponent, spec.master_seed,
+                spec.diagnostic_constant) == want
+        est = NetworkEffectTest()
+        assert (est.alpha, est.subsample_exponent, est.random_state, est.diagnostic_constant) == want
+        parser = build_parser()
+        for argv in (["test", "--input", "in.csv"], ["simulate", "--setting", "b", "--n", "20"]):
+            args = parser.parse_args(argv)
+            assert (args.alpha, args.subsample_exponent, args.seed, args.diagnostic_c) == want
+        args = parser.parse_args(["diagnose", "--input", "in.csv", "--effect", "eta2"])
+        assert args.diagnostic_c == want[3]
 
     def test_equality_is_identity(self):
         est = NetworkEffectTest()

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neteffects import EffectKind, local_effects, read_edge_list
+from neteffects import EffectKind, InvalidSpecError, NetworkEffectTest, local_effects, read_edge_list
 from neteffects import test_effect as run_effect_test
 from neteffects import cli
 from neteffects.cli import main
-from neteffects.inference import derive_seed
-from neteffects.simulation import MonteCarloSummary, generate
+from neteffects.inference import derive_seed, diagnose_degeneracy
+from neteffects.simulation import MonteCarloSummary, SimulationSpec, generate
 
 
 def write_edges(path, rows):
@@ -350,6 +352,53 @@ class TestCmdSimulate:
         _, out1, _ = run(base, capsys)
         _, out2, _ = run(base + ["--threads", "2"], capsys)
         assert json.loads(out1)["results"] == json.loads(out2)["results"]
+
+
+class TestOneMessagePerBadSetting:
+    """A bad setting gets one message, whichever entry point receives it: the
+    one check of ``inference.Settings``."""
+
+    RULES = {"alpha": "alpha must be in (0, 1)",
+             "subsample_exponent": "subsample exponent must be in [1, 2)",
+             "seed": "seed must be a non-negative integer",
+             "c_constant": "c_constant must be positive and finite"}
+    FIELD = {"alpha": "alpha", "subsample_exponent": "subsample_exponent",
+             "c_constant": "diagnostic_constant"}  # of SimulationSpec and NetworkEffectTest
+    FLAG = {"alpha": "--alpha", "subsample_exponent": "--lambda", "c_constant": "--diagnostic-c"}
+    BAD = [("alpha", value) for value in (0, math.nan, "0.05", True)] + [
+        ("subsample_exponent", value) for value in (2.0, math.nan, None, True)] + [
+        ("c_constant", value) for value in (0, math.inf, math.nan, True)]
+
+    def message(self, name, value):
+        return f"{self.RULES[name]}, got {value!r}"
+
+    @pytest.mark.parametrize("name, value", BAD + [("seed", -1), ("seed", 1.5)])
+    def test_python_entry_points(self, name, value):
+        exact = f"^{re.escape(self.message(name, value))}$"
+        net = generate("a", "normal", 20, 0.0, True, seed=1)
+        with pytest.raises(ValueError, match=exact):
+            run_effect_test(net, "eta3", **{name: value})
+        if name == "seed":
+            return
+        field = self.FIELD[name]
+        with pytest.raises(InvalidSpecError, match=exact):
+            SimulationSpec("b", n=20, reps=3, **{field: value})
+        with pytest.raises(ValueError, match=exact):
+            NetworkEffectTest(**{field: value}).fit(net.weights)
+        if name == "c_constant":
+            with pytest.raises(ValueError, match=exact):
+                diagnose_degeneracy(net, "eta2", value)
+
+    @pytest.mark.parametrize("name, value", [(name, value) for name, value in BAD
+                                             if not isinstance(value, (str, bool, type(None)))])
+    def test_cli_commands(self, random_csv, name, value, capsys):
+        flag = [self.FLAG[name], str(value)]
+        commands = [["test", "--input", str(random_csv), *flag],
+                    ["simulate", "--setting", "b", "--n", "20", "--reps", "3", *flag]]
+        if name == "c_constant":
+            commands.append(["diagnose", "--input", str(random_csv), "--effect", "eta2", *flag])
+        for argv in commands:
+            assert run(argv, capsys) == (2, "", f"error: {self.message(name, float(value))}\n")
 
 
 class TestOutputCheckedFirst:
