@@ -31,6 +31,12 @@ SCHEMA_VERSION = 2
 
 _EFFECT_CHOICES = [effect.short_name for effect in EffectKind] + ["all"]
 
+# (flag, namespace attribute, inference.Settings field) of each setting a command may take
+_SETTING_FLAGS = (("--alpha", "alpha", "alpha"),
+                  ("--lambda", "subsample_exponent", "subsample_exponent"),
+                  ("--seed", "seed", "seed"),
+                  ("--diagnostic-c", "diagnostic_c", "c_constant"))
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -188,6 +194,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, dest, field in _SETTING_FLAGS:  # one field at a time: an error names its flag
+            if dest in vars(args):
+                try:
+                    Settings(**{field: vars(args)[dest]})
+                except ValueError as exc:
+                    raise ValueError(f"{flag}: {exc}") from None
         for path in filter(None, (args.output, vars(args).get("emit_stats"))):
             # An output that cannot be written fails before any work, creating nothing.
             folder = os.path.dirname(os.path.abspath(path))

@@ -64,8 +64,13 @@ class Settings:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
         check_subsample_exponent(self.subsample_exponent)
         check_integer(self.seed, "seed")
-        if not is_real(self.c_constant) or not 0.0 < self.c_constant < math.inf:
-            raise ValueError(f"c_constant must be positive and finite, got {self.c_constant!r}")
+        _check_c_constant(self.c_constant)
+
+
+def _check_c_constant(value: float) -> None:
+    """C's rule: one of :class:`Settings`' four checks, and all that diagnose_degeneracy needs."""
+    if not is_real(value) or not 0.0 < value < math.inf:
+        raise ValueError(f"c_constant must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -145,12 +150,12 @@ def diagnose_degeneracy(
     The projection-variance estimate concentrates at rate n^(-1/2) sqrt(log n) around
     its population value, which is zero in the degenerate case and bounded away from
     zero otherwise, so comparing against c_constant times that rate separates the two;
-    :class:`Settings` holds c_constant's default and checks it.  Supported for the
+    :class:`Settings` holds c_constant's default and its rule.  Supported for the
     :attr:`EffectKind.diagnosable` effects only, given as members or by any name
     :meth:`EffectKind.parse` accepts.
     """
     effect = EffectKind.parse(effect)
-    Settings(c_constant=c_constant)
+    _check_c_constant(c_constant)
     net.require_nodes(3, "diagnose_degeneracy")
     xi2 = _require_finite(projection_variance(net, effect), "projection variance", effect)
     n = net.n

@@ -230,47 +230,55 @@ def from_edge_list(
 
 
 def _from_codes(code, src, dst, wts, where) -> DirectedWeightedNetwork:
-    """Validate edge columns and build the network they describe.
+    """Validate edge columns and build the network they describe, emptying the lists.
 
-    ``code`` maps every node label to an integer code (any order); record
-    k is the edge ``src[k] -> dst[k]`` (codes) with weight ``wts[k]``.  The
-    first offending record in order raises, checked for a self-loop, then a
-    non-finite weight, then a pair listed earlier, as a record-by-record
-    loop would.  ``where(k)`` gives ``(prefix, source, target)`` to name
-    record k in that error.
+    ``code`` maps each label to an integer code, in any order; record k is ``src[k] -> dst[k]``
+    (codes) with weight ``wts[k]``.  The first bad record raises, as a self-loop, a non-finite
+    weight or a repeated pair, in that order; ``where(k)`` gives ``(prefix, source, target)``.
     """
     n = len(code)
     if n == 0:
         raise ValueError("no records and no node universe: cannot size the network")
     labels = sorted(code)
-    rank = np.empty(n, dtype=np.intp)
-    rank[[code[lab] for lab in labels]] = np.arange(n)
-    i = rank[np.asarray(src, dtype=np.intp)]
-    j = rank[np.asarray(dst, dtype=np.intp)]
-    w = np.asarray(wts, dtype=np.float64)
-
-    # A stable sort keeps each pair's records in record order, so every one
-    # after the first of its pair is a repeat.
-    pair = i * n + j
-    order = np.argsort(pair, kind="stable")
-    sorted_pair = pair[order]
-    repeat = np.zeros(pair.size, dtype=bool)
-    repeat[order[1:][sorted_pair[1:] == sorted_pair[:-1]]] = True
-    loop = i == j
-    bad = ~np.isfinite(w)
-    offenders = np.flatnonzero(loop | bad | repeat)
-    if offenders.size:
-        k = int(offenders[0])
+    rank = np.argsort([code[lab] for lab in labels])  # label order's inverse: code -> index
+    pair = rank[np.array(src, dtype=np.intp)] * n + rank[np.array(dst, dtype=np.intp)]
+    w = np.array(wts, dtype=np.float64)
+    del src[:], dst[:], wts[:]  # frees their items before the matrix exists
+    weights = np.zeros((n, n))
+    # Record k writes k + 1 (exact below 2**53) to its cell: a self-loop makes the
+    # diagonal nonzero, and a pair listed twice reads back another record's number.
+    number = np.arange(1.0, pair.size + 1.0)
+    np.put(weights, pair, number)
+    if weights.diagonal().any() or not np.isfinite(w).all() or not np.array_equal(weights.take(pair), number):
+        # A stable sort keeps each pair's records in record order: all but the first repeat.
+        order = np.argsort(pair, kind="stable")
+        repeat = np.zeros(pair.size, dtype=bool)
+        repeat[order[1:][np.diff(pair[order]) == 0]] = True
+        loop, bad = pair % (n + 1) == 0, ~np.isfinite(w)  # i * n + j with i == j
+        k = int(np.flatnonzero(loop | bad | repeat)[0])
         prefix, source, target = where(k)
         if loop[k]:
             raise SelfLoopError(f"{prefix}self-loop record {source!r} -> {target!r}")
         if bad[k]:
             raise NonFiniteWeightError(f"{prefix}non-finite weight on {source!r} -> {target!r}")
         raise DuplicateEdgeError(f"{prefix}duplicate edge {source!r} -> {target!r}")
-
-    weights = np.zeros((n, n), dtype=np.float64)
-    weights[i, j] = w
+    np.put(weights, pair, w)
+    del pair, w, number  # before the network's copy of the matrix
     return DirectedWeightedNetwork(weights, labels=tuple(labels))
+
+
+def _locate(path, k: int) -> tuple:
+    """``(f"{path}:{line}: ", source, target)`` for record k, the (k + 1)-th non-blank
+    row after the header, by a second read of the file: errors alone pay for it."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        read = reader.line_num
+        for row in reader:  # a quoted field may span lines: a row starts on line read + 1
+            if "".join(row).strip() and (k := k - 1) < 0:  # the (k + 1)-th non-blank row
+                return (f"{path}:{read + 1}: ", *(cell.strip() for cell in row[:2]))
+            read = reader.line_num
+    raise ValueError(f"{path}: the file changed while it was read")
 
 
 def read_edge_list(path) -> DirectedWeightedNetwork:
@@ -280,34 +288,26 @@ def read_edge_list(path) -> DirectedWeightedNetwork:
     first physical line of the offending record.
     """
     code: dict[str, int] = {}
-    src, dst, wts, before = [], [], [], []
+    src, dst, wts = [], [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:3]] != ["source", "target", "weight"]:
             raise ValueError(f"{path}: expected CSV header 'source,target,weight'")
-        read = reader.line_num
         for row in reader:
-            # A quoted field may span lines, so a record starts on line
-            # last + 1, after the lines read before it.  The list keeps the
-            # reader's own ints: in CPython a computed last + 1 takes 32
-            # bytes, not 28, which adds 0.45 MB on a 112k-row file.
-            last, read = read, reader.line_num
-            if not "".join(row).strip():
-                continue
-            if len(row) < 3:
-                raise ValueError(f"{path}:{last + 1}: expected 3 columns, got {len(row)}")
+            if len(row) < 3 or not row[0].strip():  # else the row is not blank
+                if not "".join(row).strip():
+                    continue
+                if len(row) < 3:
+                    raise ValueError(f"{_locate(path, len(wts))[0]}expected 3 columns, got {len(row)}")
             try:
                 wts.append(float(row[2]))
             except ValueError:
-                raise NonFiniteWeightError(f"{path}:{last + 1}: cannot parse weight {row[2]!r}") from None
+                raise NonFiniteWeightError(
+                    f"{_locate(path, len(wts))[0]}cannot parse weight {row[2]!r}") from None
             src.append(code.setdefault(row[0].strip(), len(code)))
             dst.append(code.setdefault(row[1].strip(), len(code)))
-            before.append(last)
-    names = list(code)
-    return _from_codes(
-        code, src, dst, wts, lambda k: (f"{path}:{before[k] + 1}: ", names[src[k]], names[dst[k]])
-    )
+    return _from_codes(code, src, dst, wts, lambda k: _locate(path, k))
 
 
 @dataclass(frozen=True, eq=False)

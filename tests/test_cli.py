@@ -164,7 +164,7 @@ class TestCmdTest:
         code, out, err = run(["test", "--input", str(random_csv), "--diagnostic-c", value], capsys)
         assert code == 2
         assert out == ""
-        assert err == f"error: c_constant must be positive and finite, got {value}\n"
+        assert err == f"error: --diagnostic-c: c_constant must be positive and finite, got {value}\n"
 
     def test_complete_csv_routes_eta2_to_the_complete_branch(self, complete_csv, capsys):
         code, out, _ = run(["test", "--input", str(complete_csv), "--effect", "eta2"], capsys)
@@ -172,13 +172,13 @@ class TestCmdTest:
         assert json.loads(out)["results"][0]["branch"] == "studentized_complete"
 
     @pytest.mark.parametrize("args, name", [
-        (["--effect", "eta2", "--lambda", "7"], "subsample exponent"),
-        (["--effect", "eta2", "--lambda", "-1"], "subsample exponent"),
-        (["--effect", "eta2", "--lambda", "nan"], "subsample exponent"),
-        (["--effect", "eta3", "--diagnostic-c", "nan"], "c_constant"),
-        (["--effect", "eta4", "--diagnostic-c", "inf"], "c_constant"),
-        (["--effect", "eta2", "--seed", "-1"], "seed"),
-        (["--effect", "eta3", "--seed", "-1"], "seed"),
+        (["--effect", "eta2", "--lambda", "7"], "--lambda: subsample exponent"),
+        (["--effect", "eta2", "--lambda", "-1"], "--lambda: subsample exponent"),
+        (["--effect", "eta2", "--lambda", "nan"], "--lambda: subsample exponent"),
+        (["--effect", "eta3", "--diagnostic-c", "nan"], "--diagnostic-c: c_constant"),
+        (["--effect", "eta4", "--diagnostic-c", "inf"], "--diagnostic-c: c_constant"),
+        (["--effect", "eta2", "--seed", "-1"], "--seed: seed"),
+        (["--effect", "eta3", "--seed", "-1"], "--seed: seed"),
     ])
     def test_bad_parameter_exits_2_whatever_the_branch(self, complete_csv, args, name, capsys):
         code, out, err = run(["test", "--input", str(complete_csv), *args], capsys)
@@ -333,7 +333,7 @@ class TestCmdSimulate:
                               "--seed", "-1"], capsys)
         assert code == 2
         assert out == ""
-        assert err == "error: master_seed must be a non-negative integer, got -1\n"
+        assert err == "error: --seed: seed must be a non-negative integer, got -1\n"
 
     def test_zero_reps_is_usage_error(self, capsys):
         code, _, err = run(["simulate", "--setting", "b", "--n", "25",
@@ -356,7 +356,7 @@ class TestCmdSimulate:
 
 class TestOneMessagePerBadSetting:
     """A bad setting gets one message, whichever entry point receives it: the
-    one check of ``inference.Settings``."""
+    one check of ``inference.Settings``.  The CLI puts the flag typed before it."""
 
     RULES = {"alpha": "alpha must be in (0, 1)",
              "subsample_exponent": "subsample exponent must be in [1, 2)",
@@ -364,7 +364,8 @@ class TestOneMessagePerBadSetting:
              "c_constant": "c_constant must be positive and finite"}
     FIELD = {"alpha": "alpha", "subsample_exponent": "subsample_exponent",
              "c_constant": "diagnostic_constant"}  # of SimulationSpec and NetworkEffectTest
-    FLAG = {"alpha": "--alpha", "subsample_exponent": "--lambda", "c_constant": "--diagnostic-c"}
+    FLAG = {"alpha": "--alpha", "subsample_exponent": "--lambda", "seed": "--seed",
+            "c_constant": "--diagnostic-c"}
     BAD = [("alpha", value) for value in (0, math.nan, "0.05", True)] + [
         ("subsample_exponent", value) for value in (2.0, math.nan, None, True)] + [
         ("c_constant", value) for value in (0, math.inf, math.nan, True)]
@@ -398,7 +399,17 @@ class TestOneMessagePerBadSetting:
         if name == "c_constant":
             commands.append(["diagnose", "--input", str(random_csv), "--effect", "eta2", *flag])
         for argv in commands:
-            assert run(argv, capsys) == (2, "", f"error: {self.message(name, float(value))}\n")
+            assert run(argv, capsys) == (2, "", f"error: {flag[0]}: {self.message(name, float(value))}\n")
+
+    @pytest.mark.parametrize("name, value", [("alpha", "1"), ("subsample_exponent", "7"),
+                                             ("seed", "-1"), ("c_constant", "nan")])
+    def test_cli_error_names_the_flag_typed(self, random_csv, name, value, capsys):
+        typed = float(value) if name != "seed" else int(value)
+        line = f"error: {self.FLAG[name]}: {self.message(name, typed)}\n"
+        flag = [self.FLAG[name], value]
+        # before any work: no input is read and no replicate runs
+        assert run(["test", "--input", "missing.csv", *flag], capsys) == (2, "", line)
+        assert run(["simulate", "--setting", "b", "--n", "20", "--reps", "3", *flag], capsys) == (2, "", line)
 
 
 class TestOutputCheckedFirst:

@@ -223,6 +223,15 @@ class TestReadEdgeList(object):
          "non-finite weight on 'x\\n\\ny' -> 'b'"),
         (['"a\nb",c,1', "c,d"], ValueError, 4, "expected 3 columns, got 2"),
         (['"a\nb",c,1', 'c,"d\n",x'], NonFiniteWeightError, 4, "cannot parse weight 'x'"),
+        # blank rows are no records, but they are lines
+        (["a,b,1", "   ", ",,", "\t, ,", "c,c,3"], SelfLoopError, 6, "self-loop record 'c' -> 'c'"),
+        ([" ", ",,", "a,b"], ValueError, 4, "expected 3 columns, got 2"),
+        ([",,", "\t", "a,b,x"], NonFiniteWeightError, 4, "cannot parse weight 'x'"),
+        (["a,b,1", ",,", " , ,", "a,b,2"], DuplicateEdgeError, 5, "duplicate edge 'a' -> 'b'"),
+        # CRLF records, one of them blank
+        (["a,b,1\r", "\r", "b,a,nan\r"], NonFiniteWeightError, 4, "non-finite weight on 'b' -> 'a'"),
+        # the first listing of the pair spans two lines
+        (['"x\ny",b,1', "a,b,2", '"x\ny",b,3'], DuplicateEdgeError, 5, "duplicate edge 'x\\ny' -> 'b'"),
     ])
     def test_record_errors_name_their_line(self, tmp_path, rows, error, line, message):
         path = tmp_path / "net.csv"
@@ -230,6 +239,37 @@ class TestReadEdgeList(object):
         with pytest.raises(error) as info:
             read_edge_list(path)
         assert str(info.value) == f"{path}:{line}: {message}"
+
+    @pytest.mark.parametrize("text, error, line, message", [
+        ("\ufeffsource,target,weight\na,a,1\n", SelfLoopError, 2, "self-loop record 'a' -> 'a'"),
+        ("\ufeffsource,target,weight\r\na,b,x\r\n", NonFiniteWeightError, 2, "cannot parse weight 'x'"),
+        ('source,target,weight\r\na,b,1\r\n\r\n,,\r\n"x\r\ny",b,2\r\na,b,3\r\n', DuplicateEdgeError, 7,
+         "duplicate edge 'a' -> 'b'"),
+        ("source,target,weight\ra,b,1\ra,b,2\r", DuplicateEdgeError, 3, "duplicate edge 'a' -> 'b'"),
+    ])
+    def test_record_errors_name_their_line_whatever_the_line_ends(self, tmp_path, text, error, line, message):
+        path = tmp_path / "net.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(error) as info:
+            read_edge_list(path)
+        assert str(info.value) == f"{path}:{line}: {message}"
+
+    def test_peak_memory_is_under_three_matrices(self, tmp_path):
+        """The lists of a 20%-dense file are gone before the matrix is allocated,
+        so reading holds little more than the matrix and the network's copy of it."""
+        n, rng = 300, np.random.default_rng(5)
+        labels = [f"u{int(v):012x}" for v in rng.choice(16**12, size=n, replace=False)]
+        listed = rng.random((n, n)) < 0.2
+        listed[np.arange(n), (np.arange(n) + 1) % n] = True  # every node appears
+        np.fill_diagonal(listed, False)
+        src, dst = np.nonzero(listed)
+        weights = np.round(rng.lognormal(0.0, 1.0, src.size), 4)
+        path = tmp_path / "net.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("source,target,weight\n")
+            fh.writelines(f"{labels[a]},{labels[b]},{x!r}\n" for a, b, x in zip(src, dst, weights.tolist()))
+        assert read_edge_list(path).n == n
+        assert traced_peak(read_edge_list, path) < 3 * n * n * 8
 
 
 # Label spellings: surrounding whitespace, a comma (quoted by the CSV
