@@ -8,84 +8,17 @@ degenerate, and tests it against zero on the appropriate branch
 (studentized complete estimator, or subsampled 4-tuple kernel).
 """
 
-from .api import NetworkEffectTest
-from .errors import (
-    DuplicateEdgeError,
-    InvalidSpecError,
-    NetworkEffectsError,
-    NonFiniteStatisticError,
-    NonFiniteWeightError,
-    SelfLoopError,
-    TooFewNodesError,
-    UnsupportedEffectError,
-    ZeroVarianceError,
-)
-from .estimators import (
-    EffectEstimate,
-    QuadrupleSample,
-    ReducedMoment,
-    complete_estimate,
-    mean_edge,
-    projection_variance,
-    reduced_estimate,
-    sample_quadruples,
-)
-from .inference import (
-    DegeneracyDiagnosis,
-    LocalEffects,
-    TestReport,
-    diagnose_degeneracy,
-    local_effects,
-    test_effect,
-)
-from .network import (
-    DirectedWeightedNetwork,
-    EffectKind,
-    NodeSummaries,
-    as_network,
-    from_edge_list,
-    read_edge_list,
-    row_col_summaries,
-)
-from .simulation import MonteCarloSummary, SimulationSpec, generate, monte_carlo
+from . import api, errors, estimators, inference, kernels, network, simulation
+from .api import *
+from .errors import *
+from .estimators import *
+from .inference import *
+from .kernels import *
+from .network import *
+from .simulation import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DirectedWeightedNetwork",
-    "EffectKind",
-    "NodeSummaries",
-    "from_edge_list",
-    "read_edge_list",
-    "row_col_summaries",
-    "EffectEstimate",
-    "ReducedMoment",
-    "QuadrupleSample",
-    "mean_edge",
-    "complete_estimate",
-    "sample_quadruples",
-    "reduced_estimate",
-    "projection_variance",
-    "DegeneracyDiagnosis",
-    "TestReport",
-    "LocalEffects",
-    "diagnose_degeneracy",
-    "test_effect",
-    "local_effects",
-    "SimulationSpec",
-    "MonteCarloSummary",
-    "generate",
-    "monte_carlo",
-    "NetworkEffectTest",
-    "as_network",
-    "NetworkEffectsError",
-    "DuplicateEdgeError",
-    "SelfLoopError",
-    "NonFiniteWeightError",
-    "TooFewNodesError",
-    "UnsupportedEffectError",
-    "ZeroVarianceError",
-    "NonFiniteStatisticError",
-    "InvalidSpecError",
-    "__version__",
-]
+# each public name is written once, in its module's __all__
+__all__ = ["__version__", *api.__all__, *errors.__all__, *estimators.__all__, *inference.__all__,
+           *kernels.__all__, *network.__all__, *simulation.__all__]

@@ -64,6 +64,10 @@ class NetworkEffectTest:
     def fit(self, X, y=None):
         """Run the degeneracy-aware test pipeline on weight matrix X."""
         net = as_network(X)
+        inference.check_settings(("random_state", "seed", self.random_state),
+                                 ("alpha", "alpha", self.alpha),
+                                 ("subsample_exponent", "subsample_exponent", self.subsample_exponent),
+                                 ("diagnostic_constant", "c_constant", self.diagnostic_constant))
         report = inference.test_effect(
             net,
             self.effect,

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .inference import Settings, derive_seed, diagnose_degeneracy, local_effects, test_effect
+from .inference import Settings, check_settings, derive_seed, diagnose_degeneracy, local_effects, test_effect
 from .network import EffectKind, read_edge_list
 from .simulation import CONFIGS, SimulationSpec, monte_carlo
 
@@ -194,12 +194,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag, dest, field in _SETTING_FLAGS:  # one field at a time: an error names its flag
-            if dest in vars(args):
-                try:
-                    Settings(**{field: vars(args)[dest]})
-                except ValueError as exc:
-                    raise ValueError(f"{flag}: {exc}") from None
+        check_settings(*((flag, field, vars(args)[dest]) for flag, dest, field in _SETTING_FLAGS
+                         if dest in vars(args)))
         for path in filter(None, (args.output, vars(args).get("emit_stats"))):
             # An output that cannot be written fails before any work, creating nothing.
             folder = os.path.dirname(os.path.abspath(path))

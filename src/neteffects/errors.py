@@ -1,5 +1,9 @@
 """Exception types raised by the package."""
 
+__all__ = ["NetworkEffectsError", "DuplicateEdgeError", "SelfLoopError", "NonFiniteWeightError",
+           "TooFewNodesError", "UnsupportedEffectError", "ZeroVarianceError",
+           "NonFiniteStatisticError", "InvalidSpecError"]
+
 
 class NetworkEffectsError(ValueError):
     """Base class for all errors raised by this package."""

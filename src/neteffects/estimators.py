@@ -24,7 +24,6 @@ __all__ = [
     "EffectEstimate",
     "ReducedMoment",
     "QuadrupleSample",
-    "mean_edge",
     "complete_estimate",
     "sample_quadruples",
     "reduced_estimate",
@@ -119,16 +118,6 @@ def complete_estimate(net: DirectedWeightedNetwork, effect: EffectKind) -> Effec
     return EffectEstimate(effect=effect, value=float(moment), method="complete")
 
 
-def subsample_size(n: int, subsample_exponent: float) -> int:
-    """Number of quadruples drawn: round(n ** exponent).
-
-    n ** exponent is generally not an integer, so the nearest integer is
-    used; the studentized statistic scales by sqrt(m) for the m actually
-    drawn.
-    """
-    return max(1, int(round(n**subsample_exponent)))
-
-
 def check_subsample_exponent(value: float) -> None:
     """Raise ValueError unless value is a real number, not a bool, in [1, 2) (so NaN
     fails): the one rule for the subsample exponent, whichever entry point receives it."""
@@ -151,17 +140,18 @@ def check_integer(value: int, name: str, minimum: int = 0, error: type = ValueEr
 
 
 def sample_quadruples(n: int, subsample_exponent: float, seed: int) -> QuadrupleSample:
-    """Draw round(n ** exponent) quadruples uniformly, with replacement.
+    """Draw m = round(n ** exponent) quadruples uniformly, with replacement.
 
-    Each draw is uniform over all C(n, 4) unordered quadruples, realized
-    by rejection: sample 4 indices with replacement and redraw any row
-    with a collision.  Deterministic given (n, subsample_exponent, seed);
-    the sample holds no rows until it is reduced or read (see
-    :class:`QuadrupleSample`).
+    n ** exponent is generally not an integer, so m is the nearest one, and at least 1;
+    the studentized statistic scales by sqrt(m) for the m actually drawn.  Each draw is
+    uniform over all C(n, 4) unordered quadruples, realized by rejection: sample 4
+    indices with replacement and redraw any row with a collision.  Deterministic given
+    (n, subsample_exponent, seed); the sample holds no rows until it is reduced or read
+    (see :class:`QuadrupleSample`).
     """
     check_integer(n, "n")
     check_subsample_exponent(subsample_exponent)
-    return QuadrupleSample(n, subsample_size(n, subsample_exponent), seed)
+    return QuadrupleSample(n, max(1, int(round(n**subsample_exponent))), seed)
 
 
 def _draw(n: int, m: int, seed: int):

@@ -67,6 +67,16 @@ class Settings:
         _check_c_constant(self.c_constant)
 
 
+def check_settings(*named: tuple[str, str, object]) -> None:
+    """Check each (caller's name, :class:`Settings` field, value) by a :class:`Settings` of that
+    field alone, in order; the message is Settings', after ``<name>: `` where the names differ."""
+    for name, field, value in named:
+        try:
+            Settings(**{field: value})
+        except ValueError as exc:
+            raise ValueError(str(exc) if name == field else f"{name}: {exc}") from None
+
+
 def _check_c_constant(value: float) -> None:
     """C's rule: one of :class:`Settings`' four checks, and all that diagnose_degeneracy needs."""
     if not is_real(value) or not 0.0 < value < math.inf:
@@ -249,10 +259,10 @@ def _studentized(net, estimate: EffectEstimate, alpha: float, branch: str,
 
 
 def derive_seed(seed: int) -> int:
-    """The subsample seed that the CLI and the facade derive from a user seed.
-
-    The first child of ``SeedSequence(seed)``, so that nearby user seeds
-    give unrelated quadruple samples.
+    """The subsample seed that the CLI and the facade derive from a user seed: the first
+    child of ``SeedSequence(seed)``.  The draw seeds through ``SeedSequence`` itself, so
+    nearby user seeds would give unrelated quadruple samples without it; it stays because
+    every CLI report and :class:`NetworkEffectTest` fit is drawn from the seed it gives.
     """
     check_integer(seed, "seed")
     return int(np.random.SeedSequence(seed).spawn(1)[0].generate_state(1)[0])

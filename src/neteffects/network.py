@@ -32,7 +32,6 @@ __all__ = [
     "from_edge_list",
     "mean_edge",
     "read_edge_list",
-    "row_col_summaries",
 ]
 
 
@@ -376,6 +375,6 @@ class NodeSummaries:
 
 
 def row_col_summaries(net: DirectedWeightedNetwork) -> NodeSummaries:
-    """``net.summaries``: the node sums of the centred weights, one cached pass.
-    Those of the raw weights are ``NodeSummaries.of(net.weights)``."""
+    """``net.summaries``, not exported: estimators reads it by this name so that
+    bench/tracing.py can count the cache's hits, until ROADMAP item 4b."""
     return net.summaries

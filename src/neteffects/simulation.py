@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidSpecError, ZeroVarianceError
 from .estimators import check_integer, is_real
-from .inference import Settings, test_effect
+from .inference import Settings, check_settings, test_effect
 from .network import DirectedWeightedNetwork, EffectKind
 
 __all__ = [
@@ -87,8 +87,10 @@ class SimulationSpec:
                 "set null_case=False for the alternative, or c_squared=0"
             )
         try:
-            Settings(self.alpha, self.subsample_exponent, c_constant=self.diagnostic_constant)
-            check_integer(self.master_seed, "master_seed")
+            check_settings(("alpha", "alpha", self.alpha),
+                           ("subsample_exponent", "subsample_exponent", self.subsample_exponent),
+                           ("diagnostic_constant", "c_constant", self.diagnostic_constant),
+                           ("master_seed", "seed", self.master_seed))
             effect = default_effect(self.setting) if self.effect is None else EffectKind.parse(self.effect)
         except ValueError as exc:
             raise InvalidSpecError(str(exc)) from None

@@ -356,14 +356,17 @@ class TestCmdSimulate:
 
 class TestOneMessagePerBadSetting:
     """A bad setting gets one message, whichever entry point receives it: the
-    one check of ``inference.Settings``.  The CLI puts the flag typed before it."""
+    one check of ``inference.Settings``.  An entry point whose name for the
+    setting is not the field's puts its own name before it: the CLI the flag
+    typed, ``SimulationSpec`` and ``NetworkEffectTest`` their parameter."""
 
     RULES = {"alpha": "alpha must be in (0, 1)",
              "subsample_exponent": "subsample exponent must be in [1, 2)",
              "seed": "seed must be a non-negative integer",
              "c_constant": "c_constant must be positive and finite"}
-    FIELD = {"alpha": "alpha", "subsample_exponent": "subsample_exponent",
-             "c_constant": "diagnostic_constant"}  # of SimulationSpec and NetworkEffectTest
+    SPEC = {"alpha": "alpha", "subsample_exponent": "subsample_exponent", "seed": "master_seed",
+            "c_constant": "diagnostic_constant"}  # SimulationSpec's parameters
+    FIT = {**SPEC, "seed": "random_state"}  # NetworkEffectTest's
     FLAG = {"alpha": "--alpha", "subsample_exponent": "--lambda", "seed": "--seed",
             "c_constant": "--diagnostic-c"}
     BAD = [("alpha", value) for value in (0, math.nan, "0.05", True)] + [
@@ -373,19 +376,21 @@ class TestOneMessagePerBadSetting:
     def message(self, name, value):
         return f"{self.RULES[name]}, got {value!r}"
 
-    @pytest.mark.parametrize("name, value", BAD + [("seed", -1), ("seed", 1.5)])
+    def exact(self, name, value, caller):
+        """The whole message from an entry point that calls field ``name`` ``caller``."""
+        prefix = "" if caller == name else f"{caller}: "
+        return f"^{re.escape(prefix + self.message(name, value))}$"
+
+    @pytest.mark.parametrize("name, value", BAD + [("seed", -1), ("seed", 1.5), ("seed", True)])
     def test_python_entry_points(self, name, value):
-        exact = f"^{re.escape(self.message(name, value))}$"
+        exact = self.exact(name, value, name)
         net = generate("a", "normal", 20, 0.0, True, seed=1)
         with pytest.raises(ValueError, match=exact):
             run_effect_test(net, "eta3", **{name: value})
-        if name == "seed":
-            return
-        field = self.FIELD[name]
-        with pytest.raises(InvalidSpecError, match=exact):
-            SimulationSpec("b", n=20, reps=3, **{field: value})
-        with pytest.raises(ValueError, match=exact):
-            NetworkEffectTest(**{field: value}).fit(net.weights)
+        with pytest.raises(InvalidSpecError, match=self.exact(name, value, self.SPEC[name])):
+            SimulationSpec("b", n=20, reps=3, **{self.SPEC[name]: value})
+        with pytest.raises(ValueError, match=self.exact(name, value, self.FIT[name])):
+            NetworkEffectTest(**{self.FIT[name]: value}).fit(net.weights)
         if name == "c_constant":
             with pytest.raises(ValueError, match=exact):
                 diagnose_degeneracy(net, "eta2", value)

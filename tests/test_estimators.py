@@ -21,7 +21,7 @@ from neteffects import (
     sample_quadruples,
 )
 from neteffects import estimators
-from neteffects.estimators import node_projection, subsample_size
+from neteffects.estimators import node_projection
 from neteffects.kernels import quadruple_kernel_values
 from . import oracles
 from .conftest import constant_net, make_random_net, traced_peak, two_path_offset_term
@@ -101,8 +101,7 @@ class TestSampleQuadruples:
         assert np.all(np.diff(np.sort(sample.tuples, axis=1), axis=1) > 0)
 
     def test_rounded_size(self):
-        assert subsample_size(100, 1.2) == 251
-        assert sample_quadruples(100, 1.2, seed=1).m == 251
+        assert sample_quadruples(100, 1.2, 0).m == 251
 
     def test_deterministic(self):
         a = sample_quadruples(50, 1.3, seed=7)

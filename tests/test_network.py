@@ -23,7 +23,6 @@ from neteffects import (
     from_edge_list,
     mean_edge,
     read_edge_list,
-    row_col_summaries,
 )
 from . import oracles
 from .conftest import constant_net, make_random_net, traced_peak
@@ -368,7 +367,7 @@ class TestRowColSummaries:
 
     def test_worked_example_centred(self, worked_net):
         # mean_edge = 21 / 6 = 3.5; node 1's reciprocal sum is (-2.5)(-0.5) + (-1.5)(1.5)
-        s = row_col_summaries(worked_net)
+        s = worked_net.summaries
         assert np.array_equal(s.out_sum, [-4.0, 0.0, 4.0])
         assert np.array_equal(s.in_sum, [1.0, 0.0, -1.0])
         assert np.array_equal(s.out_sq_sum, [8.5, 0.5, 8.5])
@@ -376,7 +375,7 @@ class TestRowColSummaries:
         assert np.array_equal(s.reciprocal_sum, [-1.0, 2.5, -1.0])
 
     def test_all_zero(self):
-        s = row_col_summaries(DirectedWeightedNetwork(np.zeros((4, 4))))
+        s = DirectedWeightedNetwork(np.zeros((4, 4))).summaries
         for arr in (s.out_sum, s.in_sum, s.out_sq_sum, s.in_sq_sum, s.reciprocal_sum):
             assert np.all(arr == 0.0)
 
@@ -386,7 +385,7 @@ class TestRowColSummaries:
         s = NodeSummaries.of(net.weights)
         assert np.all(s.out_sum == c * (n - 1))
         assert np.all(s.in_sum == c * (n - 1))
-        centred = row_col_summaries(net)
+        centred = net.summaries
         for f in dataclasses.fields(NodeSummaries):
             assert np.all(getattr(centred, f.name) == 0.0), f.name
 
@@ -395,7 +394,7 @@ class TestRowColSummaries:
         s = NodeSummaries.of(net.weights)
         assert s.out_sum.sum() == pytest.approx(s.in_sum.sum(), rel=1e-14)
         assert s.out_sum.sum() == pytest.approx(net.weights.sum(), rel=1e-14)
-        centred = row_col_summaries(net)
+        centred = net.summaries
         assert centred.out_sum.sum() == pytest.approx(0.0, abs=1e-14)
         assert centred.in_sum.sum() == pytest.approx(0.0, abs=1e-14)
 
@@ -504,7 +503,7 @@ class TestRowColSummaries:
         else:
             kernel = oracles.TRIPLE_KERNELS[effect.value]
             expected = 6 * sum(kernel(d, *t) for t in itertools.combinations(range(7), 3))
-        assert row_col_summaries(net).motif(effect).sum() == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert net.summaries.motif(effect).sum() == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_mean_edge_keeps_the_bits_of_one_matrix_sum(self):
         for seed in range(5):
