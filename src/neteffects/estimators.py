@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TooFewNodesError, UnsupportedEffectError
-from .kernels import BUFFER_ROWS, quadruple_kernel_values
+from .kernels import quadruple_kernel_values
 from .network import SUMMARY_TILE, DirectedWeightedNetwork, EffectKind, mean_edge, row_col_summaries
 
 __all__ = [
@@ -31,8 +31,8 @@ __all__ = [
     "projection_variance",
 ]
 
-# Quadruples whose sub-matrices reduced_estimate gathers at a time, in one buffer
-# of kernels.BUFFER_ROWS float64s per quad (1.6 MB).  At n = 1000, lambda = 1.8, with
+# Quadruples whose sub-matrices reduced_estimate gathers at a time; the kernel's scratch
+# for one block is 1.6 MB, freed before the next block.  At n = 1000, lambda = 1.8, with
 # the earlier 2.1 MB node-sum kernel, blocks of 4,096, 8,192, 16,384 and 32,768 took
 # a median of 90, 78, 73 and 72 ms per warm call and peaked at 1.6, 3.1, 6.2 and
 # 12.4 MB (3 fresh processes each, 7 calls, one BLAS thread, 2-vCPU Xeon VM).
@@ -200,10 +200,10 @@ def reduced_estimate(
 ) -> dict[EffectKind, ReducedMoment]:
     """Each effect's mean and spread of the 4-tuple kernel over a quadruple sample.
 
-    The kernel runs on ``KERNEL_BLOCK`` quadruples at a time in one reused
-    buffer.  Each block's mean and squared deviations, taken in place, merge
-    into the running ones in block order (Chan, Golub & LeVeque 1983), so
-    memory does not grow with m.  One block has ``numpy.mean``'s and ``numpy.std``'s bits.
+    The kernel runs on ``KERNEL_BLOCK`` quadruples at a time, each block's values dropped
+    before the next is drawn.  Each block's mean and squared deviations, taken in place,
+    merge into the running ones in block order (Chan, Golub & LeVeque 1983), so memory
+    does not grow with m.  One block has ``numpy.mean``'s and ``numpy.std``'s bits.
 
     Zero spread is legal here (e.g. a constant network makes every kernel
     value identical); the test layer is responsible for rejecting it.
@@ -211,12 +211,13 @@ def reduced_estimate(
     net.require_nodes(4, "reduced_estimate")
     if sample.n != net.n:
         raise ValueError(f"sample drawn for n={sample.n} but network has n={net.n}")
-    buffer, count = np.empty(BUFFER_ROWS * min(KERNEL_BLOCK, sample.m)), 0
+    count = 0
     for quads in _draw(sample.n, sample.m, sample.seed):
-        b, values = len(quads), quadruple_kernel_values(net, quads, buffer)
+        b, values = len(quads), quadruple_kernel_values(net, quads)
         mean = values.sum(axis=1) / b  # numpy.mean's own steps
         values -= mean[:, None]
         sq = np.multiply(values, values, out=values).sum(axis=1)
+        del values  # frees the kernel's scratch before the next block is drawn
         if count:  # the first block seeds the moments: a merge into zeros could take inf * 0
             delta, weight = mean - eta, b / (count + b)
             mean, sq = eta + delta * weight, squares + sq + delta * delta * (count * weight)

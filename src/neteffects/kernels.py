@@ -37,20 +37,19 @@ _LOW = (np.s_[:, 0], np.s_[0], np.s_[0])
 BUFFER_ROWS = 24
 
 
-def quadruple_kernel_values(net: DirectedWeightedNetwork, quads: np.ndarray,
-                            buffer: np.ndarray | None = None) -> np.ndarray:
+def quadruple_kernel_values(net: DirectedWeightedNetwork, quads: np.ndarray) -> np.ndarray:
     """Each effect's 4-tuple kernel on each row of an (m, 4) array of index
     quadruples, as a (4, m) array whose rows are in :class:`EffectKind` order: the
     mean reciprocal or 3-node product over the quad's pairs or triples, minus the
     mean of e[a,b] e[c,d] over its 24 orderings, plus an O(1/n) correction; taken in
     the module's closed form after shifting the quad's weights by e[quad[0], quad[1]].
 
-    It works in ``buffer``, at least ``BUFFER_ROWS * m`` float64s (new by default),
-    and returns a view of its first 4 m.  Indices must lie in [0, n).
+    It works in a new buffer of ``BUFFER_ROWS * m`` float64s and returns a view of
+    its first 4 m, so the buffer lives as long as the values.  Indices must lie in [0, n).
     """
     n, m = net.n, len(quads)
-    buffer = np.empty(BUFFER_ROWS * m) if buffer is None else buffer
-    g, w = buffer[:12 * m].reshape(3, 2, 2, m), buffer[12 * m:24 * m].reshape(12, m)
+    buffer = np.empty(BUFFER_ROWS * m)
+    g, w = buffer[:12 * m].reshape(3, 2, 2, m), buffer[12 * m:].reshape(12, m)
     t, idx = np.asarray(quads).T.reshape(2, 2, m), w.view(np.int64).reshape(3, 2, 2, m)
     base = np.multiply(t, n, out=idx[2])  # row offsets, overwritten last
     for s in range(3):

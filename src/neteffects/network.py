@@ -209,7 +209,7 @@ def from_edge_list(
     ------
     DuplicateEdgeError, SelfLoopError, NonFiniteWeightError, ValueError, TypeError
     """
-    rows = [tuple(r) for r in records]
+    rows = [(r,) if isinstance(r, (str, bytes)) else tuple(r) for r in records]  # a string is one value
     code: dict[str, int] = {}
     src, dst, wts = [], [], []
     for row in rows:

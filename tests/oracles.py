@@ -218,7 +218,8 @@ def reference_from_edge_list(records, node_universe=None):
     or has an unparseable weight raises first, as in a CSV, then the first
     offending record."""
     parsed = []
-    for record in map(tuple, records):  # shape, then weight, record by record, as a CSV reads
+    for record in records:  # shape, then weight, record by record, as a CSV reads
+        record = () if isinstance(record, (str, bytes)) else tuple(record)  # a string is no triple
         if len(record) != 3:
             raise TypeError("each record must be a (source, target, weight) triple")
         source, target, weight = record

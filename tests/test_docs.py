@@ -6,6 +6,8 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import neteffects
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -73,25 +75,37 @@ def test_names_the_root_listed_resolve_to_their_home():
     assert moved == []
 
 
+def resolves(name: str) -> bool:
+    """Whether a cited ``module.name``, ``Class.attribute`` or root name, each with or
+    without a leading ``neteffects.``, names an object of the package."""
+    path = name.split(".")
+    if path[0] == "neteffects":
+        path = path[1:]
+    try:
+        obj, path = importlib.import_module(f"neteffects.{path[0]}"), path[1:]
+    except ModuleNotFoundError:
+        obj = neteffects
+    for attr in path:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+@pytest.mark.parametrize("name, found", [
+    ("neteffects.cli", True),
+    ("neteffects.quadruple_kernel_values", True),
+    ("network.SUMMARY_TILE", True),
+    ("neteffects.no_such_name", False),
+])
+def test_a_citation_resolves_with_or_without_the_package_root(name, found):
+    assert resolves(name) is found
+
+
 def test_every_cited_code_name_resolves():
-    # `module.name`, `neteffects.module.name` or `Class.attribute`; other
+    # `module.name`, `neteffects.module.name`, `neteffects.name` or `Class.attribute`; other
     # libraries' names, such as `numpy.einsum` or `math.erfc`, are not checked
-    cited = re.findall(r"`(?:neteffects\.)?([A-Za-z_]\w*(?:\.\w+)+)[`(]",
-                       README.read_text(encoding="utf-8"))
+    cited = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)[`(]", README.read_text(encoding="utf-8"))
     assert "network.SUMMARY_TILE" in cited
-    unresolved = []
-    for name in cited:
-        root, *path = name.split(".")
-        if root in ("numpy", "scipy", "math"):
-            continue
-        try:
-            obj = importlib.import_module(f"neteffects.{root}")
-        except ModuleNotFoundError:
-            obj = neteffects
-            path = [root, *path]
-        for attr in path:
-            if not hasattr(obj, attr):
-                unresolved.append(name)
-                break
-            obj = getattr(obj, attr)
-    assert unresolved == []
+    assert [name for name in cited
+            if name.split(".")[0] not in ("numpy", "scipy", "math") and not resolves(name)] == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neteffects import DirectedWeightedNetwork, EffectKind, complete_estimate, sample_quadruples
-from neteffects.kernels import BUFFER_ROWS, quadruple_kernel_values
+from neteffects.kernels import quadruple_kernel_values
 from .oracles import (correction, disjoint, exact_kernel_values, pair_mean, quadruple_kernel, receiver,
                       recip, sender, two_path)
 from .conftest import KERNEL_ROW, constant_net, make_random_net, traced_peak
@@ -186,12 +186,11 @@ class TestQuadrupleKernel:
             alone = quadruple_kernel_values(net, quads[k:k + 1])
             assert batch[:, k].tobytes() == alone[:, 0].tobytes(), k
 
-    def test_values_are_a_four_row_view_of_the_buffer(self):
+    def test_values_are_four_rows_with_the_same_bytes_on_every_call(self):
         net = make_random_net(12, seed=6)
         quads = sample_quadruples(12, 1.5, 1).tuples
-        buffer = np.empty(BUFFER_ROWS * len(quads))
-        values = quadruple_kernel_values(net, quads, buffer)
-        assert values.shape == (4, len(quads)) and np.shares_memory(values, buffer)
+        values = quadruple_kernel_values(net, quads)
+        assert values.shape == (4, len(quads))
         assert values.tobytes() == quadruple_kernel_values(net, quads).tobytes()
 
     def test_one_block_peaks_below_a_sixteen_entry_gather(self):

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neteffects import network
@@ -148,6 +148,17 @@ class TestFromEdgeList:
             from_edge_list([("a", "b", "x"), ("a", "b")])
         with pytest.raises(TypeError, match="triple"):
             from_edge_list([("a", "b"), ("a", "b", "x")])
+
+    @pytest.mark.parametrize("record", ["ab1", b"ab1"], ids=["str", "bytes"])
+    def test_a_string_record_is_not_split_into_a_triple(self, record):
+        # tuple("ab1") is a triple: a 2-node network with weights 1 and 2 was built
+        with pytest.raises(TypeError, match="triple"):
+            from_edge_list([record, "ba2"])
+        # at its own place in record order: an earlier bad weight raises first
+        with pytest.raises(NonFiniteWeightError, match="^cannot parse weight 'x'$"):
+            from_edge_list([("a", "b", "x"), record])
+        with pytest.raises(TypeError, match="triple"):
+            from_edge_list([("a", "b", 1.0), record, ("a", "b", "x")])
 
     def test_weight_of_another_type_is_unparseable(self):
         with pytest.raises(NonFiniteWeightError, match="^cannot parse weight None$"):
@@ -336,8 +347,13 @@ class TestIngestMatchesReference:
         ints=st.booleans(),
         raw_weight=st.booleans(),
         universe=st.none() | st.lists(st.sampled_from(LABELS + [3, 10, "z"]), max_size=4),
+        joined=st.booleans(),
     )
-    def test_read_edge_list_and_from_edge_list(self, tmp_path_factory, header, rows, ints, raw_weight, universe):
+    # a 3-character string record, "ba0", is one value: tuple("ba0") was a triple
+    @example(header=["source", "target", "weight"], rows=[["a", "b", "1.5"], ["b", "a", "0"]], ints=False,
+             raw_weight=True, universe=None, joined=True)
+    def test_read_edge_list_and_from_edge_list(self, tmp_path_factory, header, rows, ints, raw_weight, universe,
+                                               joined):
         path = tmp_path_factory.mktemp("ingest") / "edges.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -348,8 +364,10 @@ class TestIngestMatchesReference:
         )
 
         records = [_as_record(r, ints, raw_weight) for r in rows if len(r) >= 3]
-        if records:  # tuples and lists may be mixed
+        if records:  # tuples and lists may be mixed, and a record may be a string
             records[0] = list(records[0])
+            if joined:
+                records[-1] = "".join(map(str, records[-1]))
         _assert_same_outcome(
             _outcome(from_edge_list, records, universe),
             _outcome(oracles.reference_from_edge_list, records, universe),
