@@ -96,13 +96,11 @@ def _add_input_output(parser: argparse.ArgumentParser) -> None:
 
 
 def _json_default(obj):
-    """What ``json`` cannot encode itself: report dataclasses, effects and numpy values."""
+    """What ``json`` cannot encode itself: report dataclasses and effects."""
     if dataclasses.is_dataclass(obj):
         return dataclasses.asdict(obj)
     if isinstance(obj, EffectKind):
         return obj.short_name
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
     raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
 
 
@@ -125,7 +123,7 @@ def _write_document(results, command_echo: dict, started: float, output: str | N
     _write(json.dumps(document, indent=2, allow_nan=False, default=_json_default) + "\n", output)
 
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> None:
     started = time.perf_counter()
     seed = derive_seed(args.seed)
     net = read_edge_list(args.input)
@@ -141,20 +139,18 @@ def cmd_test(args) -> int:
         "derived_seed": seed, "diagnostic_c": args.diagnostic_c,
     }
     _write_document(results, echo, started, args.output)
-    return 0
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> None:
     started = time.perf_counter()
     net = read_edge_list(args.input)
     diagnosis = diagnose_degeneracy(net, args.effect, c_constant=args.diagnostic_c)
     echo = {"command": "diagnose", "input": args.input, "effect": args.effect,
             "diagnostic_c": args.diagnostic_c}
     _write_document(diagnosis, echo, started, args.output)
-    return 0
 
 
-def cmd_local_effects(args) -> int:
+def cmd_local_effects(args) -> None:
     net = read_edge_list(args.input)
     table = local_effects(net)
     columns = {f.name: getattr(table, f.name).tolist() for f in dataclasses.fields(table)}
@@ -163,10 +159,9 @@ def cmd_local_effects(args) -> int:
     writer.writerow(["node", *columns])
     writer.writerows([label, *map(repr, row)] for label, *row in zip(net.labels, *columns.values()))
     _write(text.getvalue(), args.output)
-    return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     started = time.perf_counter()
     spec = SimulationSpec(
         setting=args.setting, config=args.config, n=args.n, c_squared=args.c2,
@@ -187,7 +182,6 @@ def cmd_simulate(args) -> int:
     result = dataclasses.asdict(summary)
     del result["statistics"]  # the --emit-stats file's content, not the report's
     _write_document(result, echo, started, args.output)
-    return 0
 
 
 def main(argv=None) -> int:
@@ -204,9 +198,9 @@ def main(argv=None) -> int:
                 raise OSError(f"cannot write {path!r}")
         # numpy's overflow warnings would repeat the typed error that names it
         with np.errstate(over="ignore", invalid="ignore"):
-            code = args.func(args)
+            args.func(args)
         sys.stdout.flush()  # so that a closed stdout raises here, not at exit
-        return code
+        return 0
     except BrokenPipeError:
         # The reader left; point stdout at devnull so the flush at exit is silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -110,11 +110,13 @@ def complete_estimate(net: DirectedWeightedNetwork, effect: EffectKind) -> Effec
     """The complete (all-tuples) estimator of one effect.
 
     The kernel's mean over all C(n, k) k-subsets, k the effect's arity, in
-    closed form from the centred weights' :meth:`NodeSummaries.kernel_sum`:
-    the raw kernel's mean minus ``mean_edge`` squared, without cancellation.
+    closed form from the centred weights' :meth:`NodeSummaries.motif` sums,
+    which count each k-subset k! times: the raw kernel's mean minus
+    ``mean_edge`` squared, without cancellation.
     """
     net.require_nodes(3, "complete_estimate")
-    moment = row_col_summaries(net).kernel_sum(effect) / math.comb(net.n, effect.arity)
+    k = effect.arity
+    moment = row_col_summaries(net).motif(effect).sum() / math.factorial(k) / math.comb(net.n, k)
     return EffectEstimate(effect=effect, value=float(moment), method="complete")
 
 

@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -192,7 +192,7 @@ def as_network(X) -> DirectedWeightedNetwork:
 
 
 def from_edge_list(
-    records: Sequence[tuple],
+    records: Iterable[tuple],
     node_universe: Iterable[str] | None = None,
 ) -> DirectedWeightedNetwork:
     """Build a network from (source, target, weight) records.
@@ -203,29 +203,30 @@ def from_edge_list(
     listed get weight 0.  Duplicate ordered pairs and self-loops are
     errors rather than being silently merged or dropped: summing
     duplicates would invisibly change every downstream estimate.  As in
-    :func:`read_edge_list`, a malformed record or weight raises as it is read.
+    :func:`read_edge_list`, a malformed record or weight raises as it is read;
+    records are read one at a time and none is kept.  An error names a record
+    by the labels the network stores, ``str(source)`` and ``str(target)``.
 
     Raises
     ------
     DuplicateEdgeError, SelfLoopError, NonFiniteWeightError, ValueError, TypeError
     """
-    rows = [(r,) if isinstance(r, (str, bytes)) else tuple(r) for r in records]  # a string is one value
     code: dict[str, int] = {}
     src, dst, wts = [], [], []
-    for row in rows:
-        if len(row) != 3:
-            raise TypeError("each record must be a (source, target, weight) triple")
-        source, target, weight = row
+    for record in records:
+        try:  # a string is one value, not a triple
+            source, target, weight = (record,) if isinstance(record, (str, bytes)) else record
+        except (TypeError, ValueError):
+            raise TypeError("each record must be a (source, target, weight) triple") from None
         try:
             wts.append(float(weight))
         except (TypeError, ValueError):
             raise NonFiniteWeightError(f"cannot parse weight {weight!r}") from None
         src.append(code.setdefault(str(source), len(code)))
         dst.append(code.setdefault(str(target), len(code)))
-    if node_universe is not None:
-        for u in node_universe:
-            code.setdefault(str(u), len(code))
-    return _from_codes(code, src, dst, wts, lambda k: ("", rows[k][0], rows[k][1]))
+    for u in () if node_universe is None else node_universe:  # `or ()` fails on an array
+        code.setdefault(str(u), len(code))
+    return _from_codes(code, src, dst, wts, lambda k: "")
 
 
 def _from_codes(code, src, dst, wts, where) -> DirectedWeightedNetwork:
@@ -233,7 +234,8 @@ def _from_codes(code, src, dst, wts, where) -> DirectedWeightedNetwork:
 
     ``code`` maps each label to an integer code, in any order; record k is ``src[k] -> dst[k]``
     (codes) with weight ``wts[k]``.  The first bad record raises, as a self-loop, a non-finite
-    weight or a repeated pair, in that order; ``where(k)`` gives ``(prefix, source, target)``.
+    weight or a repeated pair, in that order, named by the labels the network stores, after
+    the location prefix ``where(k)``.
     """
     n = len(code)
     if n == 0:
@@ -255,27 +257,29 @@ def _from_codes(code, src, dst, wts, where) -> DirectedWeightedNetwork:
         repeat[order[1:][np.diff(pair[order]) == 0]] = True
         loop, bad = pair % (n + 1) == 0, ~np.isfinite(w)  # i * n + j with i == j
         k = int(np.flatnonzero(loop | bad | repeat)[0])
-        prefix, source, target = where(k)
+        i, j = divmod(int(pair[k]), n)
+        edge = f"{labels[i]!r} -> {labels[j]!r}"
         if loop[k]:
-            raise SelfLoopError(f"{prefix}self-loop record {source!r} -> {target!r}")
+            raise SelfLoopError(f"{where(k)}self-loop record {edge}")
         if bad[k]:
-            raise NonFiniteWeightError(f"{prefix}non-finite weight on {source!r} -> {target!r}")
-        raise DuplicateEdgeError(f"{prefix}duplicate edge {source!r} -> {target!r}")
+            raise NonFiniteWeightError(f"{where(k)}non-finite weight on {edge}")
+        raise DuplicateEdgeError(f"{where(k)}duplicate edge {edge}")
     np.put(weights, pair, w)
     del pair, w, number  # before the network's copy of the matrix
     return DirectedWeightedNetwork(weights, labels=tuple(labels))
 
 
-def _locate(path, k: int) -> tuple:
-    """``(f"{path}:{line}: ", source, target)`` for record k, the (k + 1)-th non-blank
-    row after the header, by a second read of the file: errors alone pay for it."""
+def _locate(path, k: int) -> str:
+    """``f"{path}:{line}: "`` for record k, the (k + 1)-th non-blank row after the header,
+    by a second read of the file: errors alone pay for it.  The record's labels are its
+    stripped cells, as the network stores them."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         read = reader.line_num
         for row in reader:  # a quoted field may span lines: a row starts on line read + 1
             if "".join(row).strip() and (k := k - 1) < 0:  # the (k + 1)-th non-blank row
-                return (f"{path}:{read + 1}: ", *(cell.strip() for cell in row[:2]))
+                return f"{path}:{read + 1}: "
             read = reader.line_num
     raise ValueError(f"{path}: the file changed while it was read")
 
@@ -298,12 +302,12 @@ def read_edge_list(path) -> DirectedWeightedNetwork:
                 if not "".join(row).strip():
                     continue
                 if len(row) < 3:
-                    raise ValueError(f"{_locate(path, len(wts))[0]}expected 3 columns, got {len(row)}")
+                    raise ValueError(f"{_locate(path, len(wts))}expected 3 columns, got {len(row)}")
             try:
                 wts.append(float(row[2]))
             except ValueError:
                 raise NonFiniteWeightError(
-                    f"{_locate(path, len(wts))[0]}cannot parse weight {row[2]!r}") from None
+                    f"{_locate(path, len(wts))}cannot parse weight {row[2]!r}") from None
             src.append(code.setdefault(row[0].strip(), len(code)))
             dst.append(code.setdefault(row[1].strip(), len(code)))
     return _from_codes(code, src, dst, wts, lambda k: _locate(path, k))
@@ -367,11 +371,6 @@ class NodeSummaries:
         if effect is EffectKind.SENDER_RECEIVER:
             return self.in_sum * self.out_sum - self.reciprocal_sum
         raise UnsupportedEffectError(str(effect))
-
-    def kernel_sum(self, effect: EffectKind) -> np.ndarray:
-        """The effect's kernel summed over all unordered k-subsets, k its
-        arity; the motif sums along the last axis count each one k! times."""
-        return self.motif(effect).sum(axis=-1) / math.factorial(effect.arity)
 
 
 def row_col_summaries(net: DirectedWeightedNetwork) -> NodeSummaries:

@@ -216,10 +216,13 @@ def naive_local_effects(w):
 def reference_from_edge_list(records, node_universe=None):
     """Record-by-record network construction: a record that is not a triple
     or has an unparseable weight raises first, as in a CSV, then the first
-    offending record."""
+    offending record, quoted by the labels the network stores."""
     parsed = []
     for record in records:  # shape, then weight, record by record, as a CSV reads
-        record = () if isinstance(record, (str, bytes)) else tuple(record)  # a string is no triple
+        try:
+            record = () if isinstance(record, (str, bytes)) else tuple(record)  # a string is no triple
+        except TypeError:  # not iterable
+            record = ()
         if len(record) != 3:
             raise TypeError("each record must be a (source, target, weight) triple")
         source, target, weight = record
@@ -241,12 +244,12 @@ def reference_from_edge_list(records, node_universe=None):
     seen = set()
     for source, target, weight in recs:
         if str(source) == str(target):
-            raise SelfLoopError(f"self-loop record {source!r} -> {target!r}")
+            raise SelfLoopError(f"self-loop record {str(source)!r} -> {str(target)!r}")
         if not math.isfinite(weight):
-            raise NonFiniteWeightError(f"non-finite weight on {source!r} -> {target!r}")
+            raise NonFiniteWeightError(f"non-finite weight on {str(source)!r} -> {str(target)!r}")
         ij = (index[str(source)], index[str(target)])
         if ij in seen:
-            raise DuplicateEdgeError(f"duplicate edge {source!r} -> {target!r}")
+            raise DuplicateEdgeError(f"duplicate edge {str(source)!r} -> {str(target)!r}")
         seen.add(ij)
         weights[ij] = weight
     return DirectedWeightedNetwork(weights, labels=ordered)

@@ -160,6 +160,38 @@ class TestFromEdgeList:
         with pytest.raises(TypeError, match="triple"):
             from_edge_list([("a", "b", 1.0), record, ("a", "b", "x")])
 
+    @pytest.mark.parametrize("record", [5, None], ids=["int", "None"])
+    def test_a_record_that_is_not_iterable_is_checked_in_record_order(self, record):
+        # tuple(record) of every record ahead of any check had raised "'int' object is not iterable"
+        with pytest.raises(NonFiniteWeightError, match="^cannot parse weight 'x'$"):
+            from_edge_list([("a", "b", "x"), record])
+        with pytest.raises(TypeError, match="^each record must be a \\(source, target, weight\\) triple$"):
+            from_edge_list([("a", "b", 1.0), record])
+
+    @pytest.mark.parametrize("records, error, message", [
+        ([(1, 1, 2.0)], SelfLoopError, "self-loop record '1' -> '1'"),
+        ([(1, 2, 1.0), (2, 1, float("inf"))], NonFiniteWeightError, "non-finite weight on '2' -> '1'"),
+        ([(1, 2, 1.0), ("1", 2, 3.0)], DuplicateEdgeError, "duplicate edge '1' -> '2'"),
+    ])
+    def test_errors_quote_the_labels_the_network_stores(self, records, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            from_edge_list(records)
+
+    def test_a_generator_of_records_is_read_one_at_a_time(self):
+        """No record is kept: 44,700 generated records on 300 nodes cost their parsed
+        columns, the matrix (0.72 MB) and the network's copy of it."""
+        n, sent = 300, 149
+
+        def records():  # node i sends to the next 149 nodes, mod n; each label is a new string
+            return ((f"node{i:04d}", f"node{(i + d) % n:04d}", i + d / 256)
+                    for i in range(n) for d in range(1, sent + 1))
+
+        net = from_edge_list(records())
+        assert net.labels == tuple(f"node{i:04d}" for i in range(n))
+        assert np.count_nonzero(net.weights) == n * sent
+        assert net.weights[n - 1, 0] == n - 1 + 1 / 256
+        assert traced_peak(from_edge_list, records()) < 4 * 2**20
+
     def test_weight_of_another_type_is_unparseable(self):
         with pytest.raises(NonFiniteWeightError, match="^cannot parse weight None$"):
             from_edge_list([("a", "b", None)])
@@ -348,12 +380,16 @@ class TestIngestMatchesReference:
         raw_weight=st.booleans(),
         universe=st.none() | st.lists(st.sampled_from(LABELS + [3, 10, "z"]), max_size=4),
         joined=st.booleans(),
+        opaque=st.lists(st.tuples(st.integers(0, 8), st.sampled_from([None, 5])), max_size=1),
     )
     # a 3-character string record, "ba0", is one value: tuple("ba0") was a triple
     @example(header=["source", "target", "weight"], rows=[["a", "b", "1.5"], ["b", "a", "0"]], ints=False,
-             raw_weight=True, universe=None, joined=True)
+             raw_weight=True, universe=None, joined=True, opaque=[])
+    # a record that is not iterable raises at its place: an earlier bad weight first
+    @example(header=["source", "target", "weight"], rows=[["a", "b", "x"]], ints=False,
+             raw_weight=True, universe=None, joined=False, opaque=[(1, 5)])
     def test_read_edge_list_and_from_edge_list(self, tmp_path_factory, header, rows, ints, raw_weight, universe,
-                                               joined):
+                                               joined, opaque):
         path = tmp_path_factory.mktemp("ingest") / "edges.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -368,6 +404,8 @@ class TestIngestMatchesReference:
             records[0] = list(records[0])
             if joined:
                 records[-1] = "".join(map(str, records[-1]))
+        for at, record in opaque:  # a record that is not iterable at all
+            records.insert(min(at, len(records)), record)
         _assert_same_outcome(
             _outcome(from_edge_list, records, universe),
             _outcome(oracles.reference_from_edge_list, records, universe),
