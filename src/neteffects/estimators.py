@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -54,18 +53,14 @@ class EffectEstimate:
 @dataclass(frozen=True, eq=False)
 class QuadrupleSample:
     """A with-replacement sample of m >= 1 quadruples on n >= 4 nodes, drawn from
-    ``seed`` as :func:`sample_quadruples` draws it.  :func:`reduced_estimate` replays
-    the draw block by block, so no (m, 4) array exists until ``tuples`` is first read,
-    which builds it from one more replay: read-only int64 rows of 4 distinct indices,
-    in the order the reduction reads them.
+    ``seed`` as :func:`sample_quadruples` draws it.  It holds no rows:
+    :func:`reduced_estimate` replays the draw block by block.
     Samples are immutable and compare by identity; a copy, a pickle and the ``repr``
     rebuild one from (n, m, seed) alone:
 
     >>> s = sample_quadruples(1000, 1.8, 3)
     >>> s
     QuadrupleSample(n=1000, m=251189, seed=3)
-    >>> eval(repr(s)).tuples.tobytes() == s.tuples.tobytes()
-    True
     """
 
     n: int
@@ -78,18 +73,6 @@ class QuadrupleSample:
             raise TooFewNodesError(f"quadruple sampling needs n >= 4, got {self.n}")
         check_integer(self.m, "m", minimum=1)
         check_integer(self.seed, "seed")
-
-    def __reduce__(self):
-        return QuadrupleSample, (self.n, self.m, self.seed)
-
-    @cached_property
-    def tuples(self) -> np.ndarray:
-        t, start = np.empty((self.m, 4), dtype=np.int64), 0
-        for quads in _draw(self.n, self.m, self.seed):
-            t[start:start + len(quads)] = quads
-            start += len(quads)
-        t.setflags(write=False)
-        return t
 
 
 @dataclass(frozen=True)
@@ -148,8 +131,7 @@ def sample_quadruples(n: int, subsample_exponent: float, seed: int) -> Quadruple
     the studentized statistic scales by sqrt(m) for the m actually drawn.  Each draw is
     uniform over all C(n, 4) unordered quadruples, realized by rejection: sample 4
     indices with replacement and redraw any row with a collision.  Deterministic given
-    (n, subsample_exponent, seed); the sample holds no rows until it is reduced or read
-    (see :class:`QuadrupleSample`).
+    (n, subsample_exponent, seed); the sample holds no rows (see :class:`QuadrupleSample`).
     """
     check_integer(n, "n")
     check_subsample_exponent(subsample_exponent)

@@ -45,16 +45,20 @@ def quadruple_kernel_values(net: DirectedWeightedNetwork, quads: np.ndarray) -> 
     the module's closed form after shifting the quad's weights by e[quad[0], quad[1]].
 
     It works in a new buffer of ``BUFFER_ROWS * m`` float64s and returns a view of
-    its first 4 m, so the buffer lives as long as the values.  Indices must lie in [0, n).
+    its first 4 m, so the buffer lives as long as the values.  An index below 0 or at
+    least n raises IndexError before anything is gathered.
     """
-    n, m = net.n, len(quads)
+    n, m, quads = net.n, len(quads), np.asarray(quads)
+    low, high = (quads.min(), quads.max()) if m else (0, 0)
+    if low < 0 or high >= n:
+        raise IndexError(f"quadruple index {low if low < 0 else high} is outside [0, {n})")
     buffer = np.empty(BUFFER_ROWS * m)
     g, w = buffer[:12 * m].reshape(3, 2, 2, m), buffer[12 * m:].reshape(12, m)
-    t, idx = np.asarray(quads).T.reshape(2, 2, m), w.view(np.int64).reshape(3, 2, 2, m)
+    t, idx = quads.T.reshape(2, 2, m), w.view(np.int64).reshape(3, 2, 2, m)
     base = np.multiply(t, n, out=idx[2])  # row offsets, overwritten last
     for s in range(3):
         np.add(base, t[_FLIP[s]], out=idx[s])
-    net.weights.take(idx, out=g, mode="wrap")  # in range; mode "raise" copies ``out``
+    net.weights.take(idx, out=g, mode="wrap")  # in range, checked above; mode "raise" copies ``out``
     x = g.reshape(12, m)
     x[1:] -= x[0]
     x[0] = 0.0

@@ -205,12 +205,15 @@ def from_edge_list(
     duplicates would invisibly change every downstream estimate.  As in
     :func:`read_edge_list`, a malformed record or weight raises as it is read;
     records are read one at a time and none is kept.  An error names a record
-    by the labels the network stores, ``str(source)`` and ``str(target)``.
+    by the labels the network stores, ``str(source)`` and ``str(target)``.  A ``str``
+    or ``bytes`` ``node_universe`` is one value, not labels: a TypeError.
 
     Raises
     ------
     DuplicateEdgeError, SelfLoopError, NonFiniteWeightError, ValueError, TypeError
     """
+    if isinstance(node_universe, (str, bytes)):
+        raise TypeError(f"node_universe must be a collection of labels, not a {type(node_universe).__name__}")
     code: dict[str, int] = {}
     src, dst, wts = [], [], []
     for record in records:

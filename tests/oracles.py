@@ -216,7 +216,10 @@ def naive_local_effects(w):
 def reference_from_edge_list(records, node_universe=None):
     """Record-by-record network construction: a record that is not a triple
     or has an unparseable weight raises first, as in a CSV, then the first
-    offending record, quoted by the labels the network stores."""
+    offending record, quoted by the labels the network stores.  A string
+    universe is one value, not a collection of labels."""
+    if isinstance(node_universe, (str, bytes)):
+        raise TypeError(f"node_universe must be a collection of labels, not a {type(node_universe).__name__}")
     parsed = []
     for record in records:  # shape, then weight, record by record, as a CSV reads
         try:
@@ -337,5 +340,18 @@ def reference_generate(setting, config, n, c_squared, null_case, seed):
             w = gamma + eps
         else:
             w = x[:, None] - x[None, :] + np.sqrt(2.0) * gamma + eps
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def gravity_counts(n, seed):
+    """A null of sparse counts shaped like a faculty hiring network: w[i, j] ~
+    Poisson(exp(a_i + b_j)), sender and receiver propensities a, b i.i.d.
+    N(-1, 1) and independent of each other, so reciprocity and the
+    sender-receiver effect are null."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(-1.0, 1.0, n)
+    b = rng.normal(-1.0, 1.0, n)
+    w = rng.poisson(np.exp(a[:, None] + b[None, :])).astype(np.float64)
     np.fill_diagonal(w, 0.0)
     return w

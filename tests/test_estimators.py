@@ -30,6 +30,11 @@ ALL_EFFECTS = list(EffectKind)
 DIAGNOSABLE = [EffectKind.RECIPROCITY, EffectKind.SENDER_RECEIVER]
 
 
+def drawn_rows(sample):
+    """The sample's quadruples: copies of the blocks its draw yields, one after another."""
+    return np.concatenate([quads.copy() for quads in estimators._draw(sample.n, sample.m, sample.seed)])
+
+
 def assert_near_the_stacked_moments(moments, net, tuples):
     """Each effect's reduced moments within README's 1e-12 of numpy's mean and
     std of the oracle's kernel values on ``tuples``, relative to the largest
@@ -98,7 +103,7 @@ class TestSampleQuadruples:
     def test_size_and_distinctness(self):
         sample = sample_quadruples(10, 1.0, seed=0)
         assert sample.m == 10
-        assert np.all(np.diff(np.sort(sample.tuples, axis=1), axis=1) > 0)
+        assert np.all(np.diff(np.sort(drawn_rows(sample), axis=1), axis=1) > 0)
 
     def test_rounded_size(self):
         assert sample_quadruples(100, 1.2, 0).m == 251
@@ -106,9 +111,9 @@ class TestSampleQuadruples:
     def test_deterministic(self):
         a = sample_quadruples(50, 1.3, seed=7)
         b = sample_quadruples(50, 1.3, seed=7)
-        assert np.array_equal(a.tuples, b.tuples)
+        assert np.array_equal(drawn_rows(a), drawn_rows(b))
         c = sample_quadruples(50, 1.3, seed=8)
-        assert not np.array_equal(a.tuples, c.tuples)
+        assert not np.array_equal(drawn_rows(a), drawn_rows(c))
 
     def test_preconditions(self):
         with pytest.raises(TooFewNodesError):
@@ -124,8 +129,9 @@ class TestSampleQuadruples:
         total = 0
         for seed in range(10):
             sample = sample_quadruples(20, 1.9, seed=seed)
-            counts += np.bincount(sample.tuples.ravel(), minlength=20)
-            total += sample.tuples.size
+            rows = drawn_rows(sample)
+            counts += np.bincount(rows.ravel(), minlength=20)
+            total += rows.size
         freq = counts / total
         se = np.sqrt(0.05 * 0.95 / total)
         assert np.all(np.abs(freq - 1 / 20) < 5 * se)
@@ -173,14 +179,14 @@ class TestSampleQuadruples:
             sample_quadruples(10, 1.2, seed)
 
     def test_numpy_integer_seed_is_accepted(self):
-        assert (sample_quadruples(10, 1.2, np.uint32(7)).tuples.tobytes()
-                == sample_quadruples(10, 1.2, 7).tuples.tobytes())
+        assert (drawn_rows(sample_quadruples(10, 1.2, np.uint32(7))).tobytes()
+                == drawn_rows(sample_quadruples(10, 1.2, 7)).tobytes())
 
     def test_numpy_integer_size_is_accepted(self):
         drawn = sample_quadruples(np.int64(10), 1.2, 0)
-        assert drawn.tuples.tobytes() == sample_quadruples(10, 1.2, 0).tuples.tobytes()
+        assert drawn_rows(drawn).tobytes() == drawn_rows(sample_quadruples(10, 1.2, 0)).tobytes()
         built = QuadrupleSample(np.int32(10), np.int64(drawn.m), np.uint8(0))
-        assert built.tuples.tobytes() == drawn.tuples.tobytes()
+        assert drawn_rows(built).tobytes() == drawn_rows(drawn).tobytes()
 
     def test_drawn_tuples_are_not_copied(self):
         # m = 251,189 quadruples take 8.0 MB; a copy of them peaked at 16.8 MB
@@ -192,39 +198,18 @@ class TestSampleQuadruples:
     def test_tuples_are_the_first_valid_rows_of_the_stream(self, n, exponent, seed):
         # at n = 4, 58 of 64 rows repeat an index, so most of the stream is skipped
         sample = sample_quadruples(n, exponent, seed)
-        assert sample.tuples.tobytes() == oracles.reference_valid_rows(n, sample.m, seed).tobytes()
+        assert drawn_rows(sample).tobytes() == oracles.reference_valid_rows(n, sample.m, seed).tobytes()
 
-    def test_tuples_are_the_first_valid_rows_of_the_stream_at_scale(self):
-        expected = oracles.reference_valid_rows(1000, 251189, 5)
-        assert sample_quadruples(1000, 1.8, 5).tuples.tobytes() == expected.tobytes()
-
-    def test_tuples_take_one_replay_of_the_draw(self, monkeypatch):
-        # m = 251,189 quadruples take 8.0 MB; placing them by the sort-based sampler's
-        # redraw rounds replayed the draw twice and peaked at 11.1 MB (numpy 2.4.6)
-        sample_quadruples(50, 1.5, 1).tuples  # numpy's lazy imports are not the draw's
-        replays, draw = [], estimators._draw
-        monkeypatch.setattr(estimators, "_draw", lambda *args: replays.append(args) or draw(*args))
-        assert traced_peak(lambda sample: sample.tuples, sample_quadruples(1000, 1.8, 3)) <= 9.5e6
-        assert replays == [(1000, 251189, 3)]
-
-    def test_repr_and_equality_do_not_build_the_array(self):
-        # the (m, 4) array of m = 251,189 quadruples takes 8.0 MB
+    def test_repr_is_the_fields_and_equality_is_identity(self):
         drawn = sample_quadruples(1000, 1.8, 3)
-        assert traced_peak(repr, drawn) < 1e5
-        assert traced_peak(lambda: drawn == drawn and drawn != sample_quadruples(1000, 1.8, 3)) < 1e5
         assert repr(drawn) == "QuadrupleSample(n=1000, m=251189, seed=3)"
+        assert drawn == drawn and drawn != sample_quadruples(1000, 1.8, 3) and drawn != copy.copy(drawn)
 
-    @pytest.mark.parametrize("field", ["n", "m", "seed", "tuples"])
+    @pytest.mark.parametrize("field", ["n", "m", "seed"])
     def test_is_immutable(self, field):
         drawn = sample_quadruples(10, 1.2, 0)
         with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
             setattr(drawn, field, getattr(drawn, field))
-
-    def test_tuples_are_built_once(self):
-        drawn = sample_quadruples(30, 1.5, 2)
-        assert drawn.tuples is drawn.tuples and not drawn.tuples.flags.writeable
-        with pytest.raises(ValueError):
-            drawn.tuples[0, 0] = 1
 
     @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
                                         lambda sample: pickle.loads(pickle.dumps(sample))])
@@ -232,13 +217,11 @@ class TestSampleQuadruples:
         net = make_random_net(30, seed=4)
         sample = sample_quadruples(30, 1.5, 2)
         twin = copier(sample)
+        assert (twin.n, twin.m, twin.seed) == (sample.n, sample.m, sample.seed)
         assert repr(twin) == repr(sample)
         assert repr(reduced_estimate(net, twin)) == repr(reduced_estimate(net, sample))
-        assert not twin.tuples.flags.writeable
-        # a copy stays lazy, even of a sample whose (m, 4) array is built: at m = 251,189
-        # that array takes 8.0 MB
-        assert traced_peak(copier, sample_quadruples(1000, 1.8, 3)) < 1e5
-        assert "tuples" in vars(twin) and "tuples" not in vars(copier(twin))
+        with pytest.raises(AttributeError, match="cannot assign to field 'seed'"):
+            twin.seed = 0
 
     @staticmethod
     def kernel_blocks(net, sample, block, patch):
@@ -291,19 +274,16 @@ class TestSampleQuadruples:
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(4, 60), exponent=st.floats(1.0, 2.0, exclude_max=True),
            seed=st.integers(0, 2**32 - 1))
-    def test_drawn_samples_reduce_alike_before_and_after_tuples_are_read(self, block, n,
-                                                                          exponent, seed):
+    def test_drawn_samples_reduce_alike_and_near_the_stacked_moments(self, block, n, exponent,
+                                                                     seed):
         # at n = 4 most rows collide, so most of the stream is skipped
         net = make_random_net(n, seed % 1000)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(estimators, "KERNEL_BLOCK", block)
             drawn = sample_quadruples(n, exponent, seed)
-            streamed = reduced_estimate(net, drawn)  # before .tuples is first read
-            tuples = drawn.tuples
-            assert repr(reduced_estimate(net, drawn)) == repr(streamed)  # still the draw replayed
-        expected = oracles.reference_valid_rows(n, drawn.m, seed)
-        assert tuples.tobytes() == expected.tobytes()
-        assert_near_the_stacked_moments(streamed, net, expected)
+            streamed = reduced_estimate(net, drawn)
+            assert repr(reduced_estimate(net, drawn)) == repr(streamed)  # the draw replayed
+        assert_near_the_stacked_moments(streamed, net, oracles.reference_valid_rows(n, drawn.m, seed))
 
 
 class TestReducedEstimate:
@@ -328,11 +308,13 @@ class TestReducedEstimate:
     @given(n=st.integers(5, 60), exponent=st.floats(1.0, 2.0, exclude_max=True),
            seed=st.integers(0, 2**32 - 1))
     def test_one_block_has_the_bits_of_numpy_on_the_tuples(self, n, exponent, seed):
-        # m <= 60**2 fits one KERNEL_BLOCK; .tuples holds the rows in the order they reduce
+        # m <= 60**2 fits one KERNEL_BLOCK; the sample's rows are the first m valid rows
+        # of the seed's stream, in the order they reduce
         net = make_random_net(n, seed % 1000)
         sample = sample_quadruples(n, exponent, seed)
         moments = reduced_estimate(net, sample)
-        for effect, values in zip(EffectKind, quadruple_kernel_values(net, sample.tuples)):
+        rows = oracles.reference_valid_rows(n, sample.m, seed)
+        for effect, values in zip(EffectKind, quadruple_kernel_values(net, rows)):
             assert moments[effect].eta_hat.hex() == float(np.mean(values)).hex(), effect
             assert moments[effect].sigma_hat.hex() == float(np.std(values)).hex(), effect
 
@@ -352,13 +334,13 @@ class TestReducedEstimate:
         monkeypatch.setattr(estimators, "KERNEL_BLOCK", block)
         monkeypatch.setattr(estimators, "quadruple_kernel_values", counted)
         sample = sample_quadruples(n, exponent, seed=2)
-        assert_near_the_stacked_moments(reduced_estimate(net, sample), net, sample.tuples)
+        rows = oracles.reference_valid_rows(n, sample.m, 2)
+        assert_near_the_stacked_moments(reduced_estimate(net, sample), net, rows)
         assert len(calls) == -(-sample.m // block) and sum(calls) == sample.m
         assert max(calls) == min(block, sample.m)
 
     @pytest.mark.parametrize("block", [7, 8192])
     def test_a_given_block_size_keeps_every_bit(self, block, monkeypatch):
-        # reading .tuples replays the draw once more and changes no bit
         monkeypatch.setattr(estimators, "KERNEL_BLOCK", block)
         net = make_random_net(300, seed=3)
         drawn = sample_quadruples(300, 1.5, seed=2)
@@ -369,7 +351,6 @@ class TestReducedEstimate:
             return {repr(reduced_estimate(net, twin)) for twin in twins}
 
         before = reduced(drawn)
-        assert len(drawn.tuples) == drawn.m
         assert len(before) == 1 and reduced(drawn) == before
 
     def test_one_block_of_temporaries(self):
@@ -425,7 +406,7 @@ class TestReducedEstimate:
                                                                          offset):
         w = make_random_net(n, seed).weights * scale + offset
         np.fill_diagonal(w, 0.0)
-        quads = sample_quadruples(n, 1.5, seed).tuples
+        quads = oracles.reference_valid_rows(n, round(n**1.5), seed)
         p = np.random.default_rng(seed + 10).permutation(n)
         relabelled = np.empty_like(w)
         relabelled[np.ix_(p, p)] = w  # node i is node p[i]

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neteffects import DirectedWeightedNetwork, EffectKind, complete_estimate, sample_quadruples
+from neteffects import DirectedWeightedNetwork, EffectKind, complete_estimate
 from neteffects.kernels import quadruple_kernel_values
 from .oracles import (correction, disjoint, exact_kernel_values, pair_mean, quadruple_kernel, receiver,
-                      recip, sender, two_path)
+                      recip, reference_valid_rows, sender, two_path)
 from .conftest import KERNEL_ROW, constant_net, make_random_net, traced_peak
 
 W3 = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 4.0], [5.0, 6.0, 0.0]])
@@ -188,17 +188,28 @@ class TestQuadrupleKernel:
 
     def test_values_are_four_rows_with_the_same_bytes_on_every_call(self):
         net = make_random_net(12, seed=6)
-        quads = sample_quadruples(12, 1.5, 1).tuples
+        quads = reference_valid_rows(12, round(12**1.5), 1)
         values = quadruple_kernel_values(net, quads)
         assert values.shape == (4, len(quads))
         assert values.tobytes() == quadruple_kernel_values(net, quads).tobytes()
+
+    @pytest.mark.parametrize("quad, bad", [([0, 1, 2, 9], 9), ([0, 1, 2, -3], -3),
+                                           ([6, 1, 2, 3], 6), ([0, -1, 2, 3], -1)])
+    def test_an_index_outside_the_network_raises(self, quad, bad):
+        # a wrapped gather read another cell: [0, 1, 2, 9] and [0, 1, 2, -3] gave finite values
+        with pytest.raises(IndexError, match=rf"^quadruple index {bad} is outside \[0, 6\)$"):
+            quadruple_kernel_values(make_random_net(6, seed=1), np.array([[0, 1, 2, 3], quad]))
+
+    def test_no_quadruples_give_four_empty_rows(self):
+        values = quadruple_kernel_values(make_random_net(6, seed=1), np.empty((0, 4), dtype=np.int64))
+        assert values.shape == (4, 0)
 
     def test_one_block_peaks_below_a_sixteen_entry_gather(self):
         # 8,192 quads, one estimators.KERNEL_BLOCK: the 12 gathered rows and the
         # 12 work rows take 0.79 MB each (1.58 MB in all); a (4, 4, m) gather with
         # einsum sums peaked at 3.15 MB
         net = make_random_net(1000, seed=5)
-        quads = sample_quadruples(1000, 1.8, 3).tuples[:8192]
+        quads = reference_valid_rows(1000, 8192, 3)
         assert traced_peak(quadruple_kernel_values, net, quads) < 3.2e6
 
     def test_transpose_duality_per_tuple(self):

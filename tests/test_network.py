@@ -201,6 +201,22 @@ class TestFromEdgeList:
         assert net.n == 3
         assert net.weights.sum() == 1.0
 
+    @pytest.mark.parametrize("universe", ["abc", "zz", b"ab"])
+    def test_a_string_universe_is_one_value_not_labels(self, universe):
+        # "abc" built 3 nodes and "zz" added a node "z", so n and every estimate moved
+        def records():
+            raise AssertionError("a record was read before the universe was checked")
+            yield
+
+        wanted = f"^node_universe must be a collection of labels, not a {type(universe).__name__}$"
+        for build in (from_edge_list, oracles.reference_from_edge_list):
+            with pytest.raises(TypeError, match=wanted):
+                build(records(), universe)
+
+    def test_a_label_that_is_not_a_string_is_stored_as_its_str(self):
+        net = from_edge_list([(b"a", 1, 1.0), (1, "b", 2.0)])
+        assert net.labels == ("1", "b", "b'a'")
+
     def test_label_order_independent_of_record_order(self):
         recs = [("b", "a", 2.0), ("a", "c", 1.0)]
         net1 = from_edge_list(recs)
