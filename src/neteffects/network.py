@@ -119,12 +119,15 @@ class DirectedWeightedNetwork:
     weight_sum: float = field(init=False, repr=False)  # of all weights, taken at construction
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=np.float64, copy=True, order="C")
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"weights must be a square matrix, got shape {w.shape}")
-        n = w.shape[0]
+        given = np.asarray(self.weights)
+        if given.ndim != 2 or given.shape[0] != given.shape[1]:
+            raise ValueError(f"weights must be a square matrix, got shape {given.shape}")
+        n = given.shape[0]
         if n < 2:
             raise TooFewNodesError(f"need at least 2 nodes, got {n}")
+        w = np.empty((n, n))  # filled last rows first, so the sum below starts on rows still in cache
+        for s in reversed(range(0, n, SUMMARY_TILE)):
+            w[s:s + SUMMARY_TILE] = given[s:s + SUMMARY_TILE]
         # NaN or infinite entries make the sum non-finite, as can an overflow
         with np.errstate(over="ignore", invalid="ignore"):
             total = float(w.sum())
@@ -151,8 +154,9 @@ class DirectedWeightedNetwork:
     @cached_property
     def summaries(self) -> "NodeSummaries":
         """The read-only node sums of d = w - mean_edge with a zero diagonal, from one read
-        of w: each ``SUMMARY_TILE``-square tile (I, J), I <= J, is centred with its mirror
-        (J, I) into two reused buffers.  Up to one tile they are ``NodeSummaries.of(d)``'s bits."""
+        of w: each ``SUMMARY_TILE``-square tile (I, J), I <= J, and its mirror (J, I), transposed,
+        are centred into two reused buffers, so that every sum reads two operands of one layout.
+        Up to one tile they are ``NodeSummaries.of(d)``'s bits."""
         n, w, mu, size = self.n, self.weights, mean_edge(self), SUMMARY_TILE
         if n <= size:  # one tile, its own mirror
             d = np.subtract(w, mu)
@@ -168,9 +172,9 @@ class DirectedWeightedNetwork:
                         np.fill_diagonal(tile, 0.0)
                         table[:, s:e] += list(vars(NodeSummaries.of(tile)).values())
                         continue
-                    mirror = np.subtract(w[u:v, s:e], mu, out=buffers[1, :v - u, :e - s])
-                    table[:, s:e] += list(vars(NodeSummaries.of(tile, mirror.T)).values())
-                    table[:, u:v] += list(vars(NodeSummaries.of(mirror, tile.T)).values())
+                    mirror = np.subtract(w[u:v, s:e].T, mu, out=buffers[1, :e - s, :v - u])
+                    table[:, s:e] += list(vars(NodeSummaries.of(tile, mirror)).values())
+                    table[:, u:v] += list(vars(NodeSummaries.of(mirror.T, tile.T)).values())
             sums = NodeSummaries(*table)
         for values in vars(sums).values():
             values.setflags(write=False)

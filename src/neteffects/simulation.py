@@ -191,8 +191,9 @@ def generate(
             a = _draw_latents(config, rng, n, "node")
             w = np.add.outer(a, _draw_latents(config, rng, n, "node"))  # a_i + b_j
             latent = _draw_latents(config, rng, n, "pair")
-            latent *= c
-            _add_pair(w, latent, w)
+            if c:  # else it adds only zeros, to sums a_i + b_j that are never -0.0
+                latent *= c
+                _add_pair(w, latent, w)
         elif setting == "c":
             a = _draw_latents(config, rng, n, "node")
             scale, shift = (1.0, 1.0) if null_case else (c, 0.0)

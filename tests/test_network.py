@@ -34,12 +34,14 @@ class TestDirectedWeightedNetwork:
         with pytest.raises(SelfLoopError):
             DirectedWeightedNetwork(w)
 
-    def test_rejects_nan_and_inf(self):
-        w = np.zeros((3, 3))
-        w[0, 1] = np.nan
+    # A row in the only block, in the block filled first (the last) and in the one filled last
+    @pytest.mark.parametrize("n, row", [(3, 0), (600, 599), (600, 1)])
+    def test_rejects_nan_and_inf(self, n, row):
+        w = np.zeros((n, n))
+        w[row, 0] = np.nan
         with pytest.raises(NonFiniteWeightError):
             DirectedWeightedNetwork(w)
-        w[0, 1] = np.inf
+        w[row, 0] = np.inf
         with pytest.raises(NonFiniteWeightError):
             DirectedWeightedNetwork(w)
 
@@ -65,6 +67,44 @@ class TestDirectedWeightedNetwork:
             DirectedWeightedNetwork(np.zeros((1, 1)))
         with pytest.raises(ValueError):
             DirectedWeightedNetwork(np.zeros((3, 4)))
+
+    # Views that own no memory: an n x n float64 copy of any of them would be 8 MB or more
+    @pytest.mark.parametrize("shape", [(1_000_000,), (1000, 1000, 1), (1000, 1001), (1001, 1000)])
+    def test_a_shape_that_is_not_square_raises_before_any_copy(self, shape):
+        view, caught = np.broadcast_to(np.int8(1), shape), []
+        peak = traced_peak(lambda: caught.append(pytest.raises(ValueError, DirectedWeightedNetwork, view)))
+        assert peak < 1e5
+        assert str(caught[0].value) == f"weights must be a square matrix, got shape {shape}"
+
+    # n = 2, one row short of a block, one block, one row over, and two blocks and a row
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 513])
+    def test_weights_and_sum_have_the_bits_of_one_float64_copy(self, n):
+        assert network.SUMMARY_TILE == 256  # the sizes above follow its blocks of rows
+        rng = np.random.default_rng(n)
+        w = rng.normal(size=(n, n)) * 1e3 + 1e5
+        ints = rng.integers(-2**40, 2**40, size=(n, n))
+        flags = rng.random((n, n)) < 0.5
+        for x in (w, ints, flags):
+            np.fill_diagonal(x, 0)
+        inputs = [w, np.asfortranarray(w), w.astype(np.float32), ints, np.asfortranarray(ints),
+                  flags, w.tolist(), ints.tolist()]
+        for x in inputs:
+            expected = np.array(x, dtype=np.float64, order="C")
+            net = DirectedWeightedNetwork(x)
+            assert net.weights.flags.c_contiguous and net.weights.dtype == np.float64
+            assert net.weights.tobytes() == expected.tobytes(), type(x)
+            assert net.weight_sum == float(expected.sum()), type(x)
+
+    # numpy warns once per assignment, one for each block of SUMMARY_TILE rows; under
+    # Python's default warning filter a user sees the first alone
+    @pytest.mark.parametrize("n", [3, 256, 600])
+    def test_a_complex_input_warns_and_keeps_its_real_part(self, n):
+        w = np.random.default_rng(n).normal(size=(n, n))
+        np.fill_diagonal(w, 0.0)
+        with pytest.warns(getattr(np, "exceptions", np).ComplexWarning) as record:
+            net = DirectedWeightedNetwork(w + 1j)
+        assert len(record) == -(-n // network.SUMMARY_TILE)
+        assert np.array_equal(net.weights, w)
 
     def test_labels_are_a_tuple_of_distinct_names(self):
         net = DirectedWeightedNetwork(np.zeros((3, 3)), labels=["a", "b", "c"])
@@ -502,11 +542,11 @@ class TestRowColSummaries:
             for f in dataclasses.fields(NodeSummaries):
                 assert np.array_equal(getattr(net.summaries, f.name), getattr(expected, f.name)), f.name
 
-    # A one-column last tile (257), ragged tiles (571, 1025) and a one-node last tile
-    # of a 9 x 9 grid (2049).  Integer weights with a zero total have mean 0, and every
+    # A one-node last tile in grids of 2, 3, 4, 5 and 9 tiles a side (257, 513, 769,
+    # 1025, 2049) and ragged last tiles (300, 571).  Integer weights with a zero total have mean 0, and every
     # partial sum is exact, so any summation order gives the same bits: a node sum
     # missing, doubled or read from the wrong tile or mirror would show.
-    @pytest.mark.parametrize("n", [257, 571, 1025, 2049])
+    @pytest.mark.parametrize("n", [257, 300, 513, 571, 769, 1025, 2049])
     def test_tiles_exact_on_integer_weights(self, n):
         assert network.SUMMARY_TILE == 256  # the sizes above follow its tiles
         w = make_random_net(n, seed=n, integers=True).weights.copy()
@@ -517,7 +557,7 @@ class TestRowColSummaries:
         for f in dataclasses.fields(NodeSummaries):
             assert np.array_equal(getattr(net.summaries, f.name), getattr(expected, f.name)), f.name
 
-    @pytest.mark.parametrize("n", [257, 571, 1025, 2049])
+    @pytest.mark.parametrize("n", [257, 300, 513, 571, 769, 1025, 2049])
     def test_tiles_match_the_sums_of_a_centred_copy(self, n):
         for net in _scaled_and_shifted(n):
             expected = _sums_of_the_centred_copy(net)
