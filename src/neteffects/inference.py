@@ -194,10 +194,14 @@ def test_effect(
     when xi^2 stays away from zero, so this verdict is the only way to
     reach it.  The degenerate verdict routes to the reduced test: with
     m = round(n ** subsample_exponent) quadruples, sqrt(m) * mean / spread
-    of the kernel values, the standardized subsample mean, which is
-    calibrated only under degeneracy.  At n = 4 every quadruple is the one
-    node set, so that branch raises :class:`ZeroVarianceError`.  Both
-    statistics are compared against standard normal quantiles (two-sided).
+    of the kernel values, the standardized subsample mean.  The spread is
+    the kernel values' sigma, and for a diagnosed effect
+    sqrt(sigma^2 + m * xi^2 / n): the m draws vary by sigma^2 / m plus the
+    complete estimator's own variance, xi^2 / n at first order, so a wrong
+    degenerate verdict costs power, not size.  At n = 4 every quadruple is
+    the one node set, so that branch raises :class:`ZeroVarianceError`.
+    Both statistics are compared against standard normal quantiles
+    (two-sided).
 
     ``effect`` may be any member or name :meth:`EffectKind.parse` accepts.  It and the
     other four arguments, by one :class:`Settings`, are checked here before any pass over
@@ -208,21 +212,30 @@ def test_effect(
     Settings(alpha, subsample_exponent, seed, c_constant)
     diagnosis = diagnose_degeneracy(net, effect, c_constant) if effect.diagnosable else None
     if diagnosis is not None and diagnosis.non_degenerate:
-        return _studentized(net, complete_estimate(net, effect), alpha, BRANCH_COMPLETE,
-                            net.n, math.sqrt(diagnosis.xi_squared), diagnosis=diagnosis)
-    if net.n == 4:  # C(4, 4) = 1: the kernel values differ by rounding alone
-        raise ZeroVarianceError(f"the reduced test of {effect.value} needs at least 5 nodes: "
-                                "at n = 4 every quadruple is the one node set")
-    moment = _reduced_moments(net, subsample_exponent, seed)[effect]
-    _require_finite(moment.sigma_hat, "kernel spread", effect)
-    if moment.sigma_hat == 0.0:
-        raise ZeroVarianceError(
-            f"all {moment.m} kernel values are identical for {effect.value}; "
-            "the studentized statistic is undefined (constant network?)"
-        )
-    estimate = EffectEstimate(effect=effect, value=moment.eta_hat, method="reduced")
-    return _studentized(net, estimate, alpha, BRANCH_REDUCED, moment.m, moment.sigma_hat,
-                        subsample_exponent=subsample_exponent, seed=seed, diagnosis=diagnosis)
+        branch, estimate, count, fields = BRANCH_COMPLETE, complete_estimate(net, effect), net.n, {}
+        spread = math.sqrt(diagnosis.xi_squared)
+    else:
+        if net.n == 4:  # C(4, 4) = 1: the kernel values differ by rounding alone
+            raise ZeroVarianceError(f"the reduced test of {effect.value} needs at least 5 nodes: "
+                                    "at n = 4 every quadruple is the one node set")
+        moment = _reduced_moments(net, subsample_exponent, seed)[effect]
+        # m draws vary by sigma^2 / m + Var(U), and Var(U) ~ xi^2 / n at first order
+        xi2 = 0.0 if diagnosis is None else diagnosis.xi_squared
+        spread = _require_finite(math.hypot(moment.sigma_hat, math.sqrt(moment.m * xi2 / net.n)),
+                                 "kernel spread", effect)
+        if moment.sigma_hat == 0.0:
+            raise ZeroVarianceError(
+                f"all {moment.m} kernel values are identical for {effect.value}; "
+                "the studentized statistic is undefined (constant network?)"
+            )
+        branch, count = BRANCH_REDUCED, moment.m
+        estimate = EffectEstimate(effect=effect, value=moment.eta_hat, method="reduced")
+        fields = {"subsample_exponent": subsample_exponent, "seed": seed}
+    statistic = math.sqrt(count) * estimate.value / spread
+    p = _two_sided_p(statistic, effect)
+    return TestReport(effect=effect, n=net.n, alpha=alpha, branch=branch, statistic=statistic,
+                      p_value=p, reject=p < alpha, estimate=estimate, diagnosis=diagnosis,
+                      **fields)
 
 
 _LAST_REDUCED = weakref.WeakKeyDictionary()  # network -> ((exponent, seed), moments)
@@ -237,25 +250,6 @@ def _reduced_moments(net: DirectedWeightedNetwork, subsample_exponent: float, se
         last = key, reduced_estimate(net, sample_quadruples(net.n, subsample_exponent, seed))
         _LAST_REDUCED[net] = last
     return last[1]
-
-
-def _studentized(net, estimate: EffectEstimate, alpha: float, branch: str,
-                 count: int, spread: float, **fields) -> TestReport:
-    """The report for statistic sqrt(count) * estimate / spread and its
-    two-sided p-value; ``fields`` fill the branch's remaining report fields."""
-    statistic = math.sqrt(count) * estimate.value / spread
-    p = _two_sided_p(statistic, estimate.effect)
-    return TestReport(
-        effect=estimate.effect,
-        n=net.n,
-        alpha=alpha,
-        branch=branch,
-        statistic=statistic,
-        p_value=p,
-        reject=p < alpha,
-        estimate=estimate,
-        **fields,
-    )
 
 
 def derive_seed(seed: int) -> int:

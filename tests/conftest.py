@@ -52,8 +52,9 @@ def constant_net(n: int, value: float = 2.0) -> DirectedWeightedNetwork:
 
 def reduced_statistic(net: DirectedWeightedNetwork, effect, seed: int,
                       subsample_exponent: float = 1.2) -> float:
-    """sqrt(m) * mean / spread of the quadruple kernel: the reduced branch's
-    statistic, computed whatever branch test_effect would pick."""
+    """sqrt(m) * mean / sigma of the quadruple kernel, computed whatever branch
+    test_effect would pick: the reduced branch's statistic for an effect with no
+    diagnosis (eta3, eta4), whose spread has no xi^2 / n term."""
     sample = sample_quadruples(net.n, subsample_exponent, seed)
     moment = reduced_estimate(net, sample)[effect]
     return math.sqrt(moment.m) * moment.eta_hat / moment.sigma_hat

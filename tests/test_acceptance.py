@@ -291,8 +291,9 @@ def test_routing_ignores_scale():
             assert (b.branch, b.reject) == (a.branch, a.reject), (seed, effect)
 
 
-# ROADMAP item 2: the reduced branch's studentizer leaves out the complete
-# estimator's own variance, which for eta2 grows with m = n^lambda.
+# ROADMAP item 2: the reduced branch's studentizer adds the complete estimator's
+# own variance at first order, xi^2 / n, which under degeneracy is about twice the
+# second-order variance; eta2 at lambda 1.5 is conservative (23 of 1000, inside the band).
 ETA2_AT_LAMBDA_1_5 = SimulationSpec(setting="b", n=100, reps=1000, null_case=True,
                                     effect=EffectKind.RECIPROCITY, subsample_exponent=1.5,
                                     master_seed=777)
@@ -308,13 +309,13 @@ def test_eta2_at_lambda_1_5_runs_on_the_reduced_branch(eta2_at_lambda_1_5):
     assert eta2_at_lambda_1_5.branch_counts == {"reduced": ETA2_AT_LAMBDA_1_5.reps}
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: eta2 over-rejects as lambda grows")
 def test_eta2_null_size_at_lambda_1_5(eta2_at_lambda_1_5):
     """The null rejection count has both Binomial(reps, 0.05) tails at
     least 1e-6, the band of the benchmark's size check."""
     reps = ETA2_AT_LAMBDA_1_5.reps
     k = round(eta2_at_lambda_1_5.rejection_rate * reps)
-    assert min(binom.cdf(k, reps, 0.05), binom.sf(k - 1, reps, 0.05)) >= 1e-6
+    assert min(binom.cdf(k, reps, 0.05), binom.sf(k - 1, reps, 0.05)) >= 1e-6, k
+    _report("null size (setting-b-eta2-1.5)", f"{k} of {reps} rejected, all on the reduced branch")
 
 
 # ROADMAP item 17: null size under a change of units and on count data, n = 100,
@@ -343,18 +344,15 @@ def _size_cell(name, draw, effect, exponent, item=None, measured=None):
 
 
 @pytest.mark.parametrize("draw, effect, exponent", [
-    _size_cell("setting-a-x0.3", _scaled_null("a", 0.3), "eta2", 1.2,
-               18, "392 of 1000, all on the reduced branch"),
+    _size_cell("setting-a-x0.3", _scaled_null("a", 0.3), "eta2", 1.2),
     _size_cell("setting-c-x10", _scaled_null("c", 10.0), "eta5", 1.0,
                "3b", "98 of 1000, all on the complete branch"),
-    _size_cell("gravity-counts", _gravity_null, "eta2", 1.2,
-               18, "170 of 1000, 797 on the reduced branch"),
-    _size_cell("gravity-counts", _gravity_null, "eta5", 1.2,
-               18, "147 of 1000, 959 on the reduced branch"),
+    _size_cell("gravity-counts", _gravity_null, "eta2", 1.2),
+    _size_cell("gravity-counts", _gravity_null, "eta5", 1.2),
     _size_cell("setting-a-x1", _scaled_null("a", 1.0), "eta2", 1.2),
     _size_cell("setting-c-x1", _scaled_null("c", 1.0), "eta5", 1.0),
 ])
-def test_null_size_under_units_and_counts(draw, effect, exponent):
+def test_null_size_under_units_and_counts(draw, effect, exponent, request):
     """The null rejection count of 1000 replicates has both Binomial(1000, 0.05)
     tails at least 1e-6, as in test_eta2_null_size_at_lambda_1_5."""
     reps, rejections, branches = 1000, 0, Counter()
@@ -365,5 +363,5 @@ def test_null_size_under_units_and_counts(draw, effect, exponent):
         branches[report.branch] += 1
     assert min(binom.cdf(rejections, reps, 0.05), binom.sf(rejections - 1, reps, 0.05)) >= 1e-6, \
         (rejections, dict(branches))
-    _report(f"null size ({effect}, lambda {exponent})",
+    _report(f"null size ({request.node.callspec.id})",
             f"{rejections} of {reps} rejected, branches {dict(branches)}")

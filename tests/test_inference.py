@@ -163,19 +163,26 @@ class TestReducedTest:
         assert report.estimate.method == "reduced"
         assert report.reject == (report.p_value < 0.1)
 
-    def test_statistic_is_standardized_subsample_mean(self):
+    @pytest.mark.parametrize("effect", [EffectKind.SENDER_RECEIVER, EffectKind.SAME_SENDER])
+    def test_statistic_is_standardized_subsample_mean(self, effect):
+        # m draws vary by sigma^2 / m plus the complete estimator's xi^2 / n (Chen &
+        # Kato 2019); an effect with no diagnosis studentizes by sigma alone
         from neteffects import reduced_estimate, sample_quadruples
 
         net = make_random_net(30, seed=9)
         sample = sample_quadruples(30, 1.2, seed=4)
-        moment = reduced_estimate(net, sample)[EffectKind.SENDER_RECEIVER]
-        report = run_effect_test(net, EffectKind.SENDER_RECEIVER,
-                                 subsample_exponent=1.2, seed=4)
+        moment = reduced_estimate(net, sample)[effect]
+        report = run_effect_test(net, effect, subsample_exponent=1.2, seed=4)
         assert report.branch == "reduced"
+        xi2 = diagnose_degeneracy(net, effect).xi_squared if effect.diagnosable else 0.0
+        spread = math.sqrt(moment.sigma_hat ** 2 + moment.m * xi2 / net.n)
         assert report.statistic == pytest.approx(
-            np.sqrt(moment.m) * moment.eta_hat / moment.sigma_hat, rel=1e-14
+            math.sqrt(moment.m) * moment.eta_hat / spread, rel=1e-14
         )
-        assert reduced_statistic(net, EffectKind.SENDER_RECEIVER, seed=4) == report.statistic
+        if effect.diagnosable:
+            assert xi2 > 0.0 and abs(report.statistic) < abs(reduced_statistic(net, effect, seed=4))
+        else:
+            assert reduced_statistic(net, effect, seed=4) == report.statistic
 
     @pytest.mark.parametrize("effect", list(EffectKind))
     def test_scale_invariance(self, effect):

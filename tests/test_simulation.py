@@ -400,9 +400,11 @@ class TestReferenceRates:
         assert abs(summary.rejection_rate - 0.067) <= 0.025
 
     def test_setting_c_moderate_signal_power(self):
-        # borderline signal: the diagnostic genuinely splits between branches
+        # borderline signal: the diagnostic genuinely splits between branches (607
+        # reduced, 393 complete); the reduced statistic's xi^2 / n term moved the rate
+        # from 0.873 to 0.812, since it had left out the complete estimator's variance
         spec = SimulationSpec(setting="c", n=100, reps=1000, c_squared=0.2,
                               null_case=False, subsample_exponent=1.0, master_seed=22)
         summary = monte_carlo(spec)
-        assert abs(summary.rejection_rate - 0.860) <= 0.04
+        assert abs(summary.rejection_rate - 0.812) <= 0.04
         assert set(summary.branch_counts) == {"reduced", "studentized_complete"}
