@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import TooFewNodesError, UnsupportedEffectError
 from .kernels import quadruple_kernel_values
-from .network import SUMMARY_TILE, DirectedWeightedNetwork, EffectKind, mean_edge, row_col_summaries
+from .network import DirectedWeightedNetwork, EffectKind, mean_edge, row_col_summaries
 
 __all__ = [
     "EffectEstimate",
@@ -89,14 +89,16 @@ class ReducedMoment:
     m: int
 
 
-def complete_estimate(net: DirectedWeightedNetwork, effect: EffectKind) -> EffectEstimate:
-    """The complete (all-tuples) estimator of one effect.
+def complete_estimate(net: DirectedWeightedNetwork, effect: EffectKind | str) -> EffectEstimate:
+    """The complete (all-tuples) estimator of one effect, given as any member or
+    name :meth:`EffectKind.parse` accepts.
 
     The kernel's mean over all C(n, k) k-subsets, k the effect's arity, in
     closed form from the centred weights' :meth:`NodeSummaries.motif` sums,
     which count each k-subset k! times: the raw kernel's mean minus
     ``mean_edge`` squared, without cancellation.
     """
+    effect = EffectKind.parse(effect)
     net.require_nodes(3, "complete_estimate")
     k = effect.arity
     moment = row_col_summaries(net).motif(effect).sum() / math.factorial(k) / math.comb(net.n, k)
@@ -210,22 +212,25 @@ def reduced_estimate(
             for effect, mean, spread in zip(EffectKind, eta.tolist(), np.sqrt(squares / count).tolist())}
 
 
-def node_projection(net: DirectedWeightedNetwork, effect: EffectKind) -> np.ndarray:
+def node_projection(net: DirectedWeightedNetwork, effect: EffectKind | str) -> np.ndarray:
     """Per-node leading (Hoeffding) projection of the complete estimator.
 
     Node i gets k (S_i / C(n-1, k-1) - U), k the effect's arity, U its
     :func:`complete_estimate` and S_i its kernel summed over the k-subsets
-    containing i, both of the centred sums r, c, t of d = w - mean_edge.  It
-    sums to zero up to rounding.  Reciprocity has S = t; sender-receiver has
+    containing i, both of the centred sums r, c, t of d = w - mean_edge -
+    residual_mean (:meth:`NodeSummaries.recentred`).  It sums to zero up to
+    rounding.  Reciprocity has S = t; sender-receiver has
     S = (c r + d r + d^T c - 3 t) / 6, its two-paths split by whether i is
     the middle, first or last node.  Sender-receiver's alone then loses
     4 mean_edge pair_i / (n-2), pair_i = (r_i + c_i) / (2(n-1)): the one term
-    by which it depends on the weights' offset (ROADMAP item 3).
+    by which it depends on the weights' offset (ROADMAP item 3b).
 
-    No projection is formed for the effects that are not
+    ``effect`` may be any member or name :meth:`EffectKind.parse` accepts.  No
+    projection is formed for the effects that are not
     :attr:`EffectKind.diagnosable`, whose tests always run on the
     subsampled branch.
     """
+    effect = EffectKind.parse(effect)
     net.require_nodes(3, "node_projection")
     if not effect.diagnosable:
         raise UnsupportedEffectError(
@@ -235,19 +240,19 @@ def node_projection(net: DirectedWeightedNetwork, effect: EffectKind) -> np.ndar
     r, c, t = s.out_sum, s.in_sum, s.reciprocal_sum
     subset_sum, offset = t, 0.0
     if effect is EffectKind.SENDER_RECEIVER:
-        # (d x)_i = (w x)_i - mean_edge (sum(x) - x_i); w r and w^T c from one read of w
-        d_r, d_c, tile = mu * (r - r.sum()), mu * (c - c.sum()), SUMMARY_TILE
-        for i in range(0, n, tile):  # a tile's rows at a time
-            d_r[i:i + tile] += net.weights[i:i + tile] @ r
-            d_c += c[i:i + tile] @ net.weights[i:i + tile]
+        # (d x)_i = (w x)_i - (mean_edge + residual_mean) (sum(x) - x_i), the two terms kept
+        # apart, as their sum would round; w r and w^T c are one BLAS call each
+        r_gap, c_gap = r - r.sum(), c - c.sum()
+        d_r = net.weights @ r + mu * r_gap + s.residual_mean * r_gap
+        d_c = c @ net.weights + mu * c_gap + s.residual_mean * c_gap
         subset_sum = (c * r + d_r + d_c - 3.0 * t) / 6.0
         offset = 4.0 * mu * (r + c) / (2.0 * (n - 1) * (n - 2))
     return k * (subset_sum / math.comb(n - 1, k - 1) - complete_estimate(net, effect).value) - offset
 
 
-def projection_variance(net: DirectedWeightedNetwork, effect: EffectKind) -> float:
+def projection_variance(net: DirectedWeightedNetwork, effect: EffectKind | str) -> float:
     """Estimated variance of the leading per-node projection of an estimator:
-    the mean square of :func:`node_projection`.
+    the mean square of :func:`node_projection`, which parses ``effect``.
 
     A value of zero against a diverging threshold signals degeneracy, in
     which case the complete estimator must not be studentized by this

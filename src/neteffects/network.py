@@ -21,7 +21,6 @@ from .errors import (
     NonFiniteWeightError,
     SelfLoopError,
     TooFewNodesError,
-    UnsupportedEffectError,
 )
 
 __all__ = [
@@ -156,7 +155,8 @@ class DirectedWeightedNetwork:
         """The read-only node sums of d = w - mean_edge with a zero diagonal, from one read
         of w: each ``SUMMARY_TILE``-square tile (I, J), I <= J, and its mirror (J, I), transposed,
         are centred into two reused buffers, so that every sum reads two operands of one layout.
-        Up to one tile they are ``NodeSummaries.of(d)``'s bits."""
+        They are then :meth:`NodeSummaries.recentred`; up to one tile, with
+        ``NodeSummaries.of(d).recentred()``'s bits."""
         n, w, mu, size = self.n, self.weights, mean_edge(self), SUMMARY_TILE
         if n <= size:  # one tile, its own mirror
             d = np.subtract(w, mu)
@@ -170,13 +170,14 @@ class DirectedWeightedNetwork:
                     tile = np.subtract(w[s:e, u:v], mu, out=buffers[0, :e - s, :v - u])
                     if u == s:
                         np.fill_diagonal(tile, 0.0)
-                        table[:, s:e] += list(vars(NodeSummaries.of(tile)).values())
+                        table[:, s:e] += NodeSummaries.of(tile).arrays()
                         continue
                     mirror = np.subtract(w[u:v, s:e].T, mu, out=buffers[1, :e - s, :v - u])
-                    table[:, s:e] += list(vars(NodeSummaries.of(tile, mirror)).values())
-                    table[:, u:v] += list(vars(NodeSummaries.of(mirror.T, tile.T)).values())
+                    table[:, s:e] += NodeSummaries.of(tile, mirror).arrays()
+                    table[:, u:v] += NodeSummaries.of(mirror.T, tile.T).arrays()
             sums = NodeSummaries(*table)
-        for values in vars(sums).values():
+        sums = sums.recentred()
+        for values in sums.arrays():
             values.setflags(write=False)
         return sums
 
@@ -334,7 +335,8 @@ class NodeSummaries:
 
     The complete estimators and the local effects take these sums from
     :meth:`of`, and the motif sums formed from them from here; the
-    quadruple kernel forms its within-quad sums itself.
+    quadruple kernel forms its within-quad sums itself.  ``residual_mean``
+    is the shift that :meth:`recentred` took out of e, 0.0 for :meth:`of`.
     """
 
     out_sum: np.ndarray
@@ -342,6 +344,7 @@ class NodeSummaries:
     out_sq_sum: np.ndarray
     in_sq_sum: np.ndarray
     reciprocal_sum: np.ndarray
+    residual_mean: float = 0.0
 
     @classmethod
     def of(cls, rows: np.ndarray, cols: np.ndarray | None = None) -> "NodeSummaries":
@@ -362,22 +365,38 @@ class NodeSummaries:
             reciprocal_sum=np.einsum("...ij,...ij->...i", rows, cols),
         )
 
-    def motif(self, effect: EffectKind) -> np.ndarray:
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The five sums, r, c, q, q', t, in field order."""
+        return self.out_sum, self.in_sum, self.out_sq_sum, self.in_sq_sum, self.reciprocal_sum
+
+    def recentred(self) -> "NodeSummaries":
+        """One network's sums, of e less its off-diagonal mean delta = sum(r) / (n(n-1)):
+        r - (n-1) delta, q - 2 delta r + (n-1) delta^2, t - delta (r + c) + (n-1) delta^2,
+        and c, q' as r, q.  Centred by a rounded mean, e is off by that delta; taking it out
+        in O(n) is Chan, Golub & LeVeque's (1983) corrected two-pass rule."""
+        r, c, q, q_in, t = self.arrays()
+        m = len(r) - 1
+        delta = float(r.sum()) / (m * len(r))
+        square = m * delta * delta
+        return NodeSummaries(r - m * delta, c - m * delta, q - 2.0 * delta * r + square,
+                             q_in - 2.0 * delta * c + square, t - delta * (r + c) + square, delta)
+
+    def motif(self, effect: EffectKind | str) -> np.ndarray:
         """Per-node sum of one effect's motif products, in closed form.
 
         Node s gets t_s, r_s^2 - q_s, c_s^2 - q'_s or c_s r_s - t_s for
         reciprocity, same-sender, same-receiver or sender-receiver, with
-        r, c, q, q', t the five sums in field order.
+        r, c, q, q', t the five sums in field order.  ``effect`` may be any
+        member or name :meth:`EffectKind.parse` accepts.
         """
+        effect = EffectKind.parse(effect)
         if effect is EffectKind.RECIPROCITY:
             return self.reciprocal_sum
         if effect is EffectKind.SAME_SENDER:
             return self.out_sum * self.out_sum - self.out_sq_sum
         if effect is EffectKind.SAME_RECEIVER:
             return self.in_sum * self.in_sum - self.in_sq_sum
-        if effect is EffectKind.SENDER_RECEIVER:
-            return self.in_sum * self.out_sum - self.reciprocal_sum
-        raise UnsupportedEffectError(str(effect))
+        return self.in_sum * self.out_sum - self.reciprocal_sum
 
 
 def row_col_summaries(net: DirectedWeightedNetwork) -> NodeSummaries:

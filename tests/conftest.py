@@ -63,11 +63,14 @@ def reduced_statistic(net: DirectedWeightedNetwork, effect, seed: int,
 def two_path_offset_term(net: DirectedWeightedNetwork) -> np.ndarray:
     """The term by which eta5's node projection depends on the weights' offset,
     4 mu pair_i / (n - 2) with pair_i = (r_i + c_i) / (2(n - 1)), r and c the
-    out- and in-sums of d = w - mu off the diagonal; mu the mean edge.  Adding
-    it back gives 3 (S_i / C(n-1, 2) - U) of the centred weights alone."""
+    out- and in-sums of the weights centred by their mean off the diagonal (mu,
+    then the centred copy's own mean); mu the mean edge.  Adding it back gives
+    3 (S_i / C(n-1, 2) - U) of the centred weights alone."""
     n = net.n
     mu = net.weights.sum() / (n * (n - 1))
     d = net.weights - mu
+    np.fill_diagonal(d, 0.0)
+    d -= d.sum() / (n * (n - 1))
     np.fill_diagonal(d, 0.0)
     pair = (d.sum(axis=1) + d.sum(axis=0)) / (2.0 * (n - 1))
     return 4.0 * mu * pair / (n - 2)

@@ -153,6 +153,31 @@ def naive_projection_variance(w, effect_name):
     return float(np.mean(naive_projection(w, effect_name) ** 2))
 
 
+def dense_projection(w, effect):
+    """:func:`naive_projection` in whole-matrix numpy, for networks too large to
+    enumerate.  A node's mean kernel over the pairs or triples that hold it comes
+    from sums over ordered tuples with the node in each place, less the mean over
+    all of them; the pair-mean term is the same.  Two-paths a -> b -> c over
+    distinct nodes are the entries of w @ w less its diagonal, i -> j -> i."""
+    n = w.shape[0]
+    mu = w.sum() / (n * (n - 1))
+    pair = (w + w.T) / 2.0
+    g1 = pair.sum(axis=1) / (n - 1) - pair.sum() / (n * (n - 1))
+    if effect is EffectKind.RECIPROCITY:
+        product = w * w.T
+        gk = product.sum(axis=1) / (n - 1) - product.sum() / (n * (n - 1))
+        return 2.0 * gk - 4.0 * mu * g1
+    paths = w @ w
+    back = np.diag(paths)
+    first = paths.sum(axis=1) - back  # i -> b -> c
+    middle = w.sum(axis=0) * w.sum(axis=1) - back  # a -> i -> c
+    last = paths.sum(axis=0) - back  # a -> b -> i
+    # each triple holding i is 6 ordered paths, C(n-1, 2) triples
+    node = (first + middle + last) / (3.0 * (n - 1) * (n - 2))
+    grand = (paths.sum() - back.sum()) / (n * (n - 1) * (n - 2))
+    return 3.0 * (node - grand) - 4.0 * mu * g1
+
+
 def reference_node_summaries(w):
     """The five node sums of a matrix or a (..., k, k) stack, each as one
     whole-array expression with the node on its own axis: out, in, out

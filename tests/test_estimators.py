@@ -23,6 +23,7 @@ from neteffects import (
 from neteffects import estimators
 from neteffects.estimators import node_projection
 from neteffects.kernels import quadruple_kernel_values
+from neteffects.simulation import generate
 from . import oracles
 from .conftest import constant_net, make_random_net, traced_peak, two_path_offset_term
 
@@ -494,6 +495,17 @@ class TestNodeProjection:
             rtol=1e-10, atol=1e-12,
         )
 
+    # Past one tile of the node-sum pass (n > 256), against whole-matrix sums over
+    # ordered tuples; setting a's mean edge is about 2, setting c's about 0
+    @pytest.mark.parametrize("setting", ["a", "c"])
+    @pytest.mark.parametrize("n", [257, 300, 600])
+    def test_matches_the_dense_oracle_beyond_one_tile(self, setting, n):
+        net = generate(setting, "normal", n, 0.0, True, seed=n)
+        for effect in DIAGNOSABLE:
+            expected = oracles.dense_projection(net.weights, effect)
+            np.testing.assert_allclose(node_projection(net, effect), expected,
+                                       rtol=0, atol=1e-12 * np.abs(expected).max())
+
     # Offsets stay out: a shift moves eta5's projection through its one term in
     # the mean edge, 4 mu pair / (n - 2) (ROADMAP item 3).  Without that term the
     # projections are shift-invariant, as test_inference.TestShiftInvariance checks.
@@ -563,3 +575,31 @@ class TestProjectionVariance:
             oracles.naive_projection_variance(net.weights, effect.value),
             rel=1e-10, abs=1e-12,
         )
+
+
+class TestEffectNames:
+    """Every public estimator takes an effect as test_effect does: a member or any name
+    EffectKind.parse accepts."""
+
+    @pytest.mark.parametrize("effect", ALL_EFFECTS)
+    def test_a_member_and_its_names_give_the_same_bits(self, effect):
+        net = make_random_net(300, seed=9)  # the node-sum pass in two tiles a side
+        names = (effect, effect.value, effect.short_name)
+        estimates = [complete_estimate(net, name) for name in names]
+        assert all(e.effect is effect for e in estimates)
+        assert len({e.value.hex() for e in estimates}) == 1
+        motifs = [net.summaries.motif(name).tobytes() for name in names]
+        assert len(set(motifs)) == 1
+        if not effect.diagnosable:
+            for name in names:
+                with pytest.raises(UnsupportedEffectError):
+                    node_projection(net, name)
+            return
+        assert len({node_projection(net, name).tobytes() for name in names}) == 1
+        assert len({projection_variance(net, name).hex() for name in names}) == 1
+
+    @pytest.mark.parametrize("call", [complete_estimate, node_projection, projection_variance,
+                                      lambda net, name: net.summaries.motif(name)])
+    def test_an_unknown_name_raises_value_error(self, call):
+        with pytest.raises(ValueError, match="^unknown effect 'eta6'"):
+            call(make_random_net(6, seed=0), "eta6")

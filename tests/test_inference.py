@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from neteffects import (
@@ -427,7 +429,8 @@ class TestTestEffectRouting:
             "net = generate('a', 'normal', 600, 0.0, True, seed=3)",
             "for effect in EffectKind:",
             "    print(repr(test_effect(net, effect, seed=1)))",
-            "for values in vars(net.summaries).values():",
+            "print(repr(net.summaries.residual_mean))",
+            "for values in net.summaries.arrays():",
             "    print(hashlib.sha256(values.tobytes()).hexdigest())",
         ])
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -552,7 +555,7 @@ class TestLocalEffects:
                 net = DirectedWeightedNetwork(w)
                 d = net.weights - estimators.mean_edge(net)
                 np.fill_diagonal(d, 0.0)
-                sums = NodeSummaries.of(d) if n <= network.SUMMARY_TILE else net.summaries
+                sums = NodeSummaries.of(d).recentred() if n <= network.SUMMARY_TILE else net.summaries
                 table = local_effects(net)
                 for effect in EffectKind:
                     expected = sums.motif(effect) / math.perm(n - 1, effect.arity - 1)
@@ -606,8 +609,28 @@ class TestShiftInvariance:
             for shift in self.SHIFTS:
                 shifted = diagnose_degeneracy(self.shifted(w, shift), EffectKind.RECIPROCITY)
                 assert shifted.verdict == base.verdict, (len(w), shift)
-                if shift <= 2.0**20:
-                    assert shifted.xi_squared == pytest.approx(base.xi_squared, rel=1e-9), (len(w), shift)
+                assert shifted.xi_squared == pytest.approx(base.xi_squared, rel=1e-9), (len(w), shift)
+
+    # Integer weights below 2**53 in size take every offset exactly; the node-sum pass
+    # re-centres by the exact mean, so only rounding of the weights' own size is left
+    # (ROADMAP item 3a).  eta5's xi^2 keeps its offset term in exact arithmetic (item 3b).
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(5, 60), seed=st.integers(0, 2**32 - 1), power=st.integers(0, 52))
+    def test_exact_offsets_up_to_2_to_the_52(self, n, seed, power):
+        w = np.round(4.0 * np.random.default_rng(seed).normal(size=(n, n)))
+        np.fill_diagonal(w, 0.0)
+        net, shifted = DirectedWeightedNetwork(w), self.shifted(w, 2.0**power)
+        off_diagonal = w[~np.eye(n, dtype=bool)]
+        unit = off_diagonal.var() / n  # sigma^2 / n, about a null estimate's sd
+        for effect in EffectKind:
+            base = estimators.complete_estimate(net, effect).value
+            value = estimators.complete_estimate(shifted, effect).value
+            assert abs(value - base) <= 1e-9 * unit, (effect, value, base)
+        base, value = (run_effect_test(x, EffectKind.RECIPROCITY) for x in (net, shifted))
+        assert value.diagnosis.xi_squared == pytest.approx(base.diagnosis.xi_squared, rel=1e-9)
+        assert value.diagnosis.verdict == base.diagnosis.verdict and value.branch == base.branch
+        if base.branch == inference.BRANCH_COMPLETE:
+            assert value.statistic == pytest.approx(base.statistic, rel=0.0, abs=1e-9)
 
     @staticmethod
     def two_path_xi_squared_without_offset_term(net):
