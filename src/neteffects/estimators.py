@@ -31,10 +31,10 @@ __all__ = [
 ]
 
 # Quadruples whose sub-matrices reduced_estimate gathers at a time; the kernel's scratch
-# for one block is 1.6 MB, freed before the next block.  At n = 1000, lambda = 1.8, with
-# the earlier 2.1 MB node-sum kernel, blocks of 4,096, 8,192, 16,384 and 32,768 took
-# a median of 90, 78, 73 and 72 ms per warm call and peaked at 1.6, 3.1, 6.2 and
-# 12.4 MB (3 fresh processes each, 7 calls, one BLAS thread, 2-vCPU Xeon VM).
+# for one block is 1.6 MB, freed before the next block.  At n = 1000, lambda = 1.8,
+# blocks of 4,096, 8,192, 16,384 and 32,768 took medians of 55-62, 49-53, 46-52 and
+# 51-58 ms per warm call and peaked at 1.1, 2.2, 4.4 and 8.4 MB, draw included (3 fresh
+# processes each, 7 calls, one BLAS thread, 2-vCPU Xeon VM).
 KERNEL_BLOCK = 8_192
 # A quadruple as one 32-byte item: numpy selects rows of these about twice as
 # fast as rows of an (m, 4) int64 array.
@@ -129,15 +129,15 @@ def check_integer(value: int, name: str, minimum: int = 0, error: type = ValueEr
 def sample_quadruples(n: int, subsample_exponent: float, seed: int) -> QuadrupleSample:
     """Draw m = round(n ** exponent) quadruples uniformly, with replacement.
 
-    n ** exponent is generally not an integer, so m is the nearest one, and at least 1;
-    the studentized statistic scales by sqrt(m) for the m actually drawn.  Each draw is
-    uniform over all C(n, 4) unordered quadruples, realized by rejection: sample 4
-    indices with replacement and redraw any row with a collision.  Deterministic given
+    n ** exponent is generally not an integer, so m is the nearest one; the studentized
+    statistic scales by sqrt(m) for the m actually drawn.  Each draw is uniform over all
+    C(n, 4) unordered quadruples, realized by rejection: sample 4 indices with
+    replacement and redraw any row with a collision.  Deterministic given
     (n, subsample_exponent, seed); the sample holds no rows (see :class:`QuadrupleSample`).
     """
     check_integer(n, "n")
     check_subsample_exponent(subsample_exponent)
-    return QuadrupleSample(n, max(1, int(round(n**subsample_exponent))), seed)
+    return QuadrupleSample(n, int(round(n**subsample_exponent)), seed)
 
 
 def _draw(n: int, m: int, seed: int):

@@ -265,7 +265,8 @@ def derive_seed(seed: int) -> int:
 def local_effects(net: DirectedWeightedNetwork) -> LocalEffects:
     """Per-node effect analogues around the grand mean.
 
-    With d[i,j] = e[i,j] - mean_edge on off-diagonal entries, node i gets
+    With d[i,j] = e[i,j] - mean_edge on off-diagonal entries, its node sums re-centred
+    in passing by the residual mean (``NodeSummaries.recentred``), node i gets
 
     * reciprocity:      sum_j d[i,j] d[j,i] / (n-1)
     * same-sender:      sum_{j != k} d[i,j] d[i,k] / ((n-1)(n-2))

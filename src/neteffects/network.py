@@ -57,7 +57,7 @@ class EffectKind(enum.Enum):
         if isinstance(name, cls):
             return name
         try:
-            return _BY_NAME[str(getattr(name, "value", name)).strip().lower()]
+            return _BY_NAME[str(name).strip().lower()]
         except KeyError:
             valid = sorted(e.value for e in cls) + sorted(_SHORT_NAMES.values())
             raise ValueError(f"unknown effect {name!r}; expected one of {valid}") from None
@@ -348,21 +348,21 @@ class NodeSummaries:
 
     @classmethod
     def of(cls, rows: np.ndarray, cols: np.ndarray | None = None) -> "NodeSummaries":
-        """The sums of a (k, k) matrix, or of each matrix in a (..., k, k) stack.
+        """The sums of a (k, k) matrix or tile.
 
-        Node i's out-weights are ``rows[..., i, :]`` and its in-weights
-        ``cols[..., i, :]``, by default the transpose of ``rows``; given
-        both, the sums cover just the nodes of a tile's rows.  Each sum is
-        one reduction over the input, with no temporary of its size.
+        Node i's out-weights are ``rows[i]`` and its in-weights ``cols[i]``,
+        by default the transpose of ``rows``; given both, the sums cover just
+        the nodes of a tile's rows.  Each sum is one reduction over the
+        input, with no temporary of its size.
         """
         if cols is None:
-            cols = np.swapaxes(rows, -1, -2)
+            cols = rows.T
         return cls(
-            out_sum=rows.sum(axis=-1),
-            in_sum=cols.sum(axis=-1),
-            out_sq_sum=np.einsum("...ij,...ij->...i", rows, rows),
-            in_sq_sum=np.einsum("...ij,...ij->...i", cols, cols),
-            reciprocal_sum=np.einsum("...ij,...ij->...i", rows, cols),
+            out_sum=rows.sum(axis=1),
+            in_sum=cols.sum(axis=1),
+            out_sq_sum=np.einsum("ij,ij->i", rows, rows),
+            in_sq_sum=np.einsum("ij,ij->i", cols, cols),
+            reciprocal_sum=np.einsum("ij,ij->i", rows, cols),
         )
 
     def arrays(self) -> tuple[np.ndarray, ...]:

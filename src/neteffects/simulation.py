@@ -120,11 +120,10 @@ def _check_design(setting: str, config: str, n: int, c_squared: float) -> None:
         raise InvalidSpecError(f"c_squared must be finite and nonnegative, got {c_squared!r}")
 
 
-def _draw_latents(config: str, rng: np.random.Generator, n: int, want: str,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """One i.i.d. latent block: a node vector, or an n x n pair latent or noise,
-    written to ``out`` when it is given.  Node and pair latents are N(1, 1) and
-    the noise N(0, 1) under the normal config; all are Poisson(1) otherwise.
+def _draw_latents(config: str, rng: np.random.Generator, n: int, want: str) -> np.ndarray:
+    """One i.i.d. latent block: a node vector, or an n x n pair latent or noise.
+    Node and pair latents are N(1, 1) and the noise N(0, 1) under the normal
+    config; all are Poisson(1) otherwise.
 
     A normal block is ``standard_normal`` with the location added in place: the
     bits of ``rng.normal(loc, 1.0, size)``, except that a noise draw of exactly
@@ -134,14 +133,11 @@ def _draw_latents(config: str, rng: np.random.Generator, n: int, want: str,
     """
     size = n if want == "node" else (n, n)
     if config == "normal":
-        values = rng.standard_normal(size, out=out)
+        values = rng.standard_normal(size)
         if want != "noise":
             values += 1.0
         return values
-    if out is None:
-        return rng.poisson(1.0, size).astype(np.float64)
-    np.copyto(out, rng.poisson(1.0, size))
-    return out
+    return rng.poisson(1.0, size).astype(np.float64)
 
 
 def _add_pair(base, pair: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -172,8 +168,9 @@ def generate(
     (which every degeneracy case draws, even where its formula does not use
     it), then the noise; each matrix latent takes n^2 draws (see
     ``_draw_latents``), so that a seed keeps its network.  The weights are
-    built in place, in each formula's order of operations, beside at most one
-    n x n latent buffer.
+    built in place, in each formula's order of operations: with its copy, a network
+    peaks at two n x n arrays, or three beside a degeneracy case's pair latent or the
+    int64 draw of a Poisson noise in setting a or c.
     """
     _check_design(setting, config, n, c_squared)
     if not isinstance(seed, np.random.SeedSequence):
@@ -186,7 +183,6 @@ def generate(
         w = _draw_latents(config, rng, n, "noise")
         w += (c * a)[:, None]
     else:
-        latent = None  # the n x n buffer the noise reuses
         if setting == "a":
             a = _draw_latents(config, rng, n, "node")
             w = np.add.outer(a, _draw_latents(config, rng, n, "node"))  # a_i + b_j
@@ -194,6 +190,7 @@ def generate(
             if c:  # else it adds only zeros, to sums a_i + b_j that are never -0.0
                 latent *= c
                 _add_pair(w, latent, w)
+            del latent  # else a Poisson noise's int64 draw and float copy sit beside it
         elif setting == "c":
             a = _draw_latents(config, rng, n, "node")
             scale, shift = (1.0, 1.0) if null_case else (c, 0.0)
@@ -214,7 +211,7 @@ def generate(
                 w = np.subtract.outer(x, x)
                 latent *= np.sqrt(2.0)
                 _add_pair(w, latent, w)
-        w += _draw_latents(config, rng, n, "noise", out=latent)
+        w += _draw_latents(config, rng, n, "noise")
     np.fill_diagonal(w, 0.0)
     return DirectedWeightedNetwork(w)
 

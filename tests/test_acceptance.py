@@ -319,16 +319,16 @@ def test_eta2_null_size_at_lambda_1_5(eta2_at_lambda_1_5):
 
 
 # ROADMAP item 17: null size under a change of units and on count data, n = 100,
-# 1000 replicates.  A scaled cell draws replicate rep's network and sample seed as
-# simulation._run_replicate does (master seed 777) and tests its weights times scale;
-# a gravity cell draws oracles.gravity_counts from SeedSequence((4242, rep)) with
-# sample seed rep.  Each xfail reads its rejections and branches at the time it was
-# pinned.
-def _scaled_null(setting, scale):
+# 1000 replicates.  A scaled cell draws replicate rep's network, with normal or Poisson
+# latents, and sample seed as simulation._run_replicate does (master seed 777) and
+# tests its weights times scale; a gravity cell draws oracles.gravity_counts from
+# SeedSequence((4242, rep)) with sample seed rep.  Each xfail reads its rejections and
+# branches at the time it was pinned.
+def _scaled_null(setting, scale, config="normal"):
     def draw(rep):
         net_stream, subsample_stream = (np.random.SeedSequence((777, rep), spawn_key=(k,))
                                         for k in range(2))
-        net = generate(setting, "normal", 100, 0.0, True, net_stream)
+        net = generate(setting, config, 100, 0.0, True, net_stream)
         return DirectedWeightedNetwork(scale * net.weights), int(subsample_stream.generate_state(1)[0])
     return draw
 
@@ -351,6 +351,9 @@ def _size_cell(name, draw, effect, exponent, item=None, measured=None):
     _size_cell("gravity-counts", _gravity_null, "eta5", 1.2),
     _size_cell("setting-a-x1", _scaled_null("a", 1.0), "eta2", 1.2),
     _size_cell("setting-c-x1", _scaled_null("c", 1.0), "eta5", 1.0),
+    _size_cell("setting-a-poisson", _scaled_null("a", 1.0, "poisson"), "eta2", 1.2),
+    _size_cell("setting-b-poisson", _scaled_null("b", 1.0, "poisson"), "eta3", 1.2),
+    _size_cell("setting-c-poisson", _scaled_null("c", 1.0, "poisson"), "eta5", 1.0),
 ])
 def test_null_size_under_units_and_counts(draw, effect, exponent, request):
     """The null rejection count of 1000 replicates has both Binomial(1000, 0.05)

@@ -17,7 +17,7 @@ from neteffects import test_effect as run_effect_test
 from neteffects import cli
 from neteffects.cli import main
 from neteffects.inference import derive_seed, diagnose_degeneracy
-from neteffects.simulation import MonteCarloSummary, SimulationSpec, generate
+from neteffects.simulation import MonteCarloSummary, SimulationSpec, generate, monte_carlo
 
 
 def write_edges(path, rows):
@@ -298,6 +298,21 @@ class TestCmdSimulate:
         lines = stats_file.read_text().strip().splitlines()
         assert len(lines) == 40
         assert all(np.isfinite(float(x)) for x in lines)
+
+    def test_poisson_config_runs_monte_carlo_on_poisson_latents(self, capsys, tmp_path):
+        stats_file = tmp_path / "stats.txt"
+        code, out, _ = run(["simulate", "--setting", "a", "--config", "poisson", "--n", "20",
+                            "--reps", "5", "--lambda", "1", "--seed", "9",
+                            "--emit-stats", str(stats_file)], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["command"]["config"] == "poisson"
+        expected = monte_carlo(SimulationSpec(setting="a", config="poisson", n=20, reps=5,
+                                              subsample_exponent=1.0, master_seed=9))
+        summary = dataclasses.asdict(expected)
+        statistics = summary.pop("statistics")
+        assert doc["results"] == summary
+        assert stats_file.read_text() == "".join(f"{value!r}\n" for value in statistics)
 
     def test_results_are_the_summary_without_statistics(self, capsys):
         code, out, _ = run(["simulate", "--setting", "b", "--n", "20", "--reps", "5"], capsys)
